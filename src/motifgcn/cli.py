@@ -144,6 +144,7 @@ def cmd_protocol(cfg: RunConfig, args) -> int:
         "config": cfg.echo(),
         "mean": result["mean"],
         "max": result["max"],
+        "std": result["std"],
         "runs": result["accuracies"],
     }
     _emit(payload, cfg.out)

@@ -92,7 +92,14 @@ class SplitSpec:
     allow_small_classes: bool = False
 
 
-def _row_normalize(X: np.ndarray) -> np.ndarray:
+def _row_normalize(X):
+    """Divide each row by its sum (zero rows stay zero); keeps CSR sparse."""
+    if sp.issparse(X):
+        X = sp.csr_matrix(X, dtype=np.float64, copy=True)
+        s = np.asarray(X.sum(axis=1)).ravel()
+        s[s == 0] = 1.0
+        X.data /= np.repeat(s, np.diff(X.indptr))
+        return X
     s = X.sum(axis=1, keepdims=True)
     s[s == 0] = 1.0
     return X / s
@@ -110,6 +117,7 @@ def load_planetoid(directory, name: str, normalize_features: bool = True):
     len(y) rows), the following 500 nodes for validation, and the file's
     test indices for testing. Citeseer's isolated test nodes receive
     zero feature rows and stay unlabeled, per the standard reindexing.
+    Features stay a scipy CSR matrix.
     """
     name = name.lower()
     if name not in EXPECTED_EDGES:
@@ -144,13 +152,15 @@ def load_planetoid(directory, name: str, normalize_features: bool = True):
         ty_full[test_range - span.min(), :] = ty
         ty = ty_full
 
-    features = sp.vstack([allx, tx]).tolil()
-    features[test_idx, :] = features[test_range, :]
-    features = np.asarray(features.todense(), dtype=np.float64)
     onehot = np.vstack([ally, ty])
-    onehot[test_idx, :] = onehot[test_range, :]
+    n = onehot.shape[0]
+    # Test rows are stored in sorted order; row test_idx[i] takes row
+    # test_range[i].
+    order = np.arange(n)
+    order[test_idx] = test_range
+    features = sp.vstack([allx, tx], format="csr")[order]
+    onehot = onehot[order]
 
-    n = features.shape[0]
     labels = np.full(n, UNLABELED, dtype=np.int64)
     has_label = onehot.sum(axis=1) > 0
     labels[has_label] = onehot[has_label].argmax(axis=1)

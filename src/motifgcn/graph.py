@@ -35,6 +35,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _freeze_features(features):
+    """Read-only float64 copy: a dense array, or canonical CSR for sparse input."""
+    if not sp.issparse(features):
+        return _freeze(np.asarray(features, dtype=np.float64))
+    m = sp.csr_matrix(features, dtype=np.float64, copy=True)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    for a in (m.data, m.indices, m.indptr):
+        a.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True)
 class SparseMatrix:
     """Symmetric real matrix in CSR form.
@@ -105,7 +117,10 @@ class Graph:
         n_nodes: number of nodes N; nodes are the integers [0, N).
         edges: (m, 2) int array of unordered pairs with u < v, no
             duplicates, no self-loops.
-        features: dense (N, T) float array, or None.
+        features: (N, T) float features as a dense array or a scipy
+            CSR matrix (sparse input stays sparse through the first
+            layer), or None. Either form is read-only: the CSR form has
+            sorted indices, no explicit zeros and read-only arrays.
         labels: (N,) int array of class indices; UNLABELED marks
             unlabeled nodes. None when the graph carries no labels.
         n_classes: class count L (0 when unlabeled).
@@ -115,7 +130,7 @@ class Graph:
 
     n_nodes: int
     edges: np.ndarray
-    features: np.ndarray | None = None
+    features: np.ndarray | sp.csr_matrix | None = None
     labels: np.ndarray | None = None
     n_classes: int = 0
     dropped_self_loops: int = 0
@@ -138,10 +153,10 @@ class Graph:
                 raise GraphError("duplicate edge in edge list")
         object.__setattr__(self, "edges", _freeze(edges))
         if self.features is not None:
-            feats = np.asarray(self.features, dtype=np.float64)
+            feats = _freeze_features(self.features)
             if feats.shape[0] != self.n_nodes:
                 raise GraphError("features row count must equal n_nodes")
-            object.__setattr__(self, "features", _freeze(feats))
+            object.__setattr__(self, "features", feats)
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)
             if labels.shape != (self.n_nodes,):

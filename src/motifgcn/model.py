@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import Graph, SparseMatrix
 from .motifs import MixRecipe, mix_matrices
@@ -118,16 +119,21 @@ def build_model(config: ModelConfig, graph: Graph,
     return Model(mixed, layers, config)
 
 
-def forward(model: Model, X: np.ndarray, training: bool = False, rng=None,
+def forward(model: Model, X, training: bool = False, rng=None,
             with_tape: bool = False):
     """Run the network; returns Z, or (Z, tape) when with_tape is set.
 
-    Dropout hits each layer's input and is active only in training mode.
+    X is a dense array or a scipy sparse matrix; a sparse X stays sparse
+    through the first layer's dropout and ``Hin @ W``. Dropout hits each
+    layer's input and is active only in training mode.
     """
     if X.shape[0] != model.mixed_matrix.n:
         raise ValueError("feature rows must match mixed-matrix dimension")
     rate = model.config.optimizer.dropout_rate
-    H = np.asarray(X, dtype=np.float64)
+    if sp.issparse(X):
+        H = sp.csr_matrix(X, dtype=np.float64)
+    else:
+        H = np.asarray(X, dtype=np.float64)
     tape = []
     for layer in model.layers:
         Hin, mask = nn.dropout_forward(H, rate, rng, training)
@@ -144,7 +150,9 @@ def backward(model: Model, tape, labels: np.ndarray, train_idx: np.ndarray):
     """Analytic gradients of the masked cross-entropy + L2 term w.r.t. every W.
 
     The softmax output layer and the loss are fused: the pre-activation
-    gradient on masked rows is (Z - onehot(y)) / |mask|.
+    gradient on masked rows is (Z - onehot(y)) / |mask|. The gradient
+    with respect to the network input is never needed, so the pass stops
+    at the first layer's weight gradient.
     """
     if len(tape) != len(model.layers):
         raise ValueError("tape length does not match layer count")
@@ -159,22 +167,23 @@ def backward(model: Model, tape, labels: np.ndarray, train_idx: np.ndarray):
     for k in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[k]
         Hin, mask, _, _ = tape[k]
+        # pre = S (Hin W) with S symmetric, so dW = Hin^T (S dPre);
+        # an MLP layer has pre = Hin W and dW = Hin^T dPre.
         if layer.role == GCN:
-            # pre = S (Hin W) with S symmetric, so dW = Hin^T (S dPre)
-            s_dpre = nn.spmm(model.mixed_matrix, d_pre)
-            grads[k] = Hin.T @ s_dpre
-            d_hin = s_dpre @ layer.params.W.T
+            d_hw = nn.spmm(model.mixed_matrix, d_pre)
         else:
-            grads[k] = Hin.T @ d_pre
-            d_hin = d_pre @ layer.params.W.T
+            d_hw = d_pre
+        grads[k] = Hin.T @ d_hw
+        if k == 0:
+            break
+        d_hin = d_hw @ layer.params.W.T
         if mask is not None:
             d_hin = d_hin * mask
-        if k > 0:
-            prev_pre = tape[k - 1][2]
-            if model.layers[k - 1].activation == nn.RELU:
-                d_pre = d_hin * (prev_pre > 0)
-            else:
-                d_pre = d_hin
+        prev_pre = tape[k - 1][2]
+        if model.layers[k - 1].activation == nn.RELU:
+            d_pre = d_hin * (prev_pre > 0)
+        else:
+            d_pre = d_hin
     wd = model.config.optimizer.weight_decay
     if wd:
         grads[0] = grads[0] + wd * model.layers[0].params.W
@@ -190,7 +199,7 @@ def regularized_loss(model: Model, Z: np.ndarray, labels, mask_idx) -> float:
     return loss
 
 
-def evaluate(model: Model, X: np.ndarray, labels: np.ndarray, mask) -> float:
+def evaluate(model: Model, X, labels: np.ndarray, mask) -> float:
     """Fraction of masked nodes whose argmax prediction matches the label."""
     idx = _as_index(mask)
     if idx.size == 0:
@@ -272,7 +281,8 @@ def run_protocol(config: ModelConfig, dataset, splits, n_runs: int,
                  threads: int = 1):
     """Repeat training with seeds seed+0 ... seed+n_runs-1.
 
-    Returns {"mean", "max", "accuracies"}; results are merged by run
+    Returns {"mean", "max", "std", "accuracies"}, where std is the
+    population standard deviation (np.std); results are merged by run
     index so the output is independent of scheduling.
     """
     if n_runs < 1:
@@ -292,6 +302,7 @@ def run_protocol(config: ModelConfig, dataset, splits, n_runs: int,
     return {
         "mean": float(np.mean(accs)),
         "max": float(np.max(accs)),
+        "std": float(np.std(accs)),
         "accuracies": accs,
     }
 
@@ -307,7 +318,6 @@ def grid_search(dataset, splits, ratio_grid, base_config: ModelConfig,
         raise ValueError("ratio grid is empty")
     rows = []
     X, y = dataset.graph.features, dataset.graph.labels
-    val_idx = _as_index(splits.validation)
     for recipe in ratio_grid:
         cfg_r = replace(base_config, recipe=recipe)
         mixed = mix_matrices(recipe, dataset.graph)
@@ -315,8 +325,7 @@ def grid_search(dataset, splits, ratio_grid, base_config: ModelConfig,
         for s in range(n_seeds):
             cfg = replace(cfg_r, seed=base_config.seed + s)
             model, _ = train(cfg, dataset, splits, mixed=mixed)
-            Z = forward(model, X, training=False)
-            scores.append(float(np.mean(Z[val_idx].argmax(axis=1) == y[val_idx])))
+            scores.append(evaluate(model, X, y, splits.validation))
         rows.append({"recipe": str(recipe), "val_accuracy_mean": float(np.mean(scores)),
                      "val_accuracies": scores})
     best_i = int(np.argmax([r["val_accuracy_mean"] for r in rows]))

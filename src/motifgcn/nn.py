@@ -1,7 +1,8 @@
 """Dense/sparse neural-network primitives with manual gradients.
 
-Everything operates on plain float64 numpy arrays. There are no bias
-terms anywhere; layers compute activation(S @ H @ W) or
+Everything operates on float64 numpy arrays, except that the network
+input may be a scipy CSR matrix (sparse bag-of-words features). There
+are no bias terms anywhere; layers compute activation(S @ H @ W) or
 activation(H @ W). The model module assembles these into a full
 forward/backward pass.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import SparseMatrix
 
@@ -157,16 +159,34 @@ def adam_step(params: LayerParams, grad: np.ndarray, config: OptimizerConfig,
     params.W = params.W - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
 
 
-def dropout_forward(H: np.ndarray, rate: float, rng, training: bool):
+def dropout_forward(H, rate: float, rng, training: bool):
     """Inverted dropout. Returns (output, keep-scale mask).
 
     The mask already folds in the 1/(1-rate) rescale, so the backward
     pass is just an elementwise multiply with it.
+
+    For a scipy CSR H only the stored values are dropped, one draw
+    each (the ``sparse_dropout`` of Kipf & Welling's GCN): dropping a
+    zero changes nothing. The output is a new CSR matrix holding the
+    kept values, and the mask is aligned with ``H.data``. With every
+    value stored, the draws and the mask equal those of the dense path.
     """
     if not 0 <= rate < 1:
         raise ValueError("dropout rate must be in [0, 1)")
     if not training or rate == 0.0:
         return H, None
+    if sp.issparse(H):
+        keep = rng.random(H.nnz) >= rate
+        mask = keep / (1.0 - rate)
+        # Integer gathers are several times faster than boolean indexing;
+        # row r of the output starts at the count of kept values before
+        # H.indptr[r].
+        kept = np.flatnonzero(keep)
+        out = sp.csr_matrix(
+            (H.data[kept] * mask[kept], H.indices[kept], np.searchsorted(kept, H.indptr)),
+            shape=H.shape,
+        )
+        return out, mask
     keep = rng.random(H.shape) >= rate
     mask = keep / (1.0 - rate)
     return H * mask, mask

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from motifgcn.cli import main
@@ -112,6 +113,7 @@ def test_protocol_output(tmp_path, capsys):
     assert len(payload["runs"]) == 3
     assert payload["mean"] == pytest.approx(sum(payload["runs"]) / 3)
     assert payload["max"] == max(payload["runs"])
+    assert payload["std"] == pytest.approx(float(np.std(payload["runs"])))
 
 
 def test_gradcheck_passes(capsys):

@@ -148,7 +148,7 @@ def test_load_planetoid_isolated_test_nodes(tmp_path):
     g = ds.graph
     assert g.n_nodes == 9
     # node 7 sits in the test-index hole: zero features, unlabeled
-    assert np.all(g.features[7] == 0)
+    assert np.all(g.features[7].toarray() == 0)
     assert g.labels[7] == UNLABELED
     assert list(splits.test) == [6, 8]
     assert 7 not in set(splits.validation)

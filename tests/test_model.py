@@ -1,12 +1,17 @@
+import pickle
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from motifgcn.data import SplitSpec, Splits, make_splits
+from motifgcn.data import SplitSpec, Splits, load_planetoid, make_splits
 from motifgcn.graph import Graph, build_adjacency
 from motifgcn.motifs import MixRecipe, normalize_symmetric
 from motifgcn.model import (
     ModelConfig,
     TrainingDiverged,
+    backward,
     build_model,
     evaluate,
     forward,
@@ -16,7 +21,7 @@ from motifgcn.model import (
 )
 from motifgcn.nn import OptimizerConfig
 from motifgcn.synthetic import two_community_dataset
-from motifgcn.verify import random_graph
+from motifgcn.verify import gradient_check, random_graph
 
 EDGE_ONLY = MixRecipe.parse("edge:1")
 MIXED = MixRecipe.parse("edge:8,triangle:1,wedge:2")
@@ -278,3 +283,91 @@ def test_grid_search_table_and_duplicates(small_dataset, small_splits):
 def test_grid_search_empty_grid(small_dataset, small_splits):
     with pytest.raises(ValueError):
         grid_search(small_dataset, small_splits, [], ModelConfig())
+
+
+# ------------------------------------------------------ sparse input path
+
+def sparse_feature_graph(rng, n=14):
+    """labeled_graph with about 70% of its features zeroed, in CSR form."""
+    g = labeled_graph(rng, n)
+    X = g.features * (rng.random(g.features.shape) < 0.3)
+    return Graph(g.n_nodes, g.edges, features=sp.csr_matrix(X), labels=g.labels,
+                 n_classes=g.n_classes)
+
+
+def test_sparse_and_dense_features_agree(rng):
+    g = sparse_feature_graph(rng)
+    m = build_model(ModelConfig(h1=2, h2=1, hidden_dim=5, recipe=MIXED, seed=4), g)
+    X_sparse, X_dense = g.features, g.features.toarray()
+    train_idx = np.arange(0, g.n_nodes, 2)
+    Z_s, tape_s = forward(m, X_sparse, with_tape=True)
+    Z_d, tape_d = forward(m, X_dense, with_tape=True)
+    np.testing.assert_allclose(Z_s, Z_d, rtol=0, atol=1e-12)
+    for gs, gd in zip(backward(m, tape_s, g.labels, train_idx),
+                      backward(m, tape_d, g.labels, train_idx)):
+        np.testing.assert_allclose(gs, gd, rtol=0, atol=1e-12)
+
+
+def test_gradient_check_with_sparse_features():
+    g = sparse_feature_graph(np.random.default_rng(5), n=12)
+    assert sp.issparse(g.features)
+    for h1, h2 in ((1, 0), (2, 1)):
+        assert gradient_check(h1, h2, graph=g) < 1e-6
+
+
+def test_sparse_graph_features_are_read_only(rng):
+    g = sparse_feature_graph(rng)
+    X = g.features
+    assert sp.isspmatrix_csr(X) and X.has_canonical_format
+    row = int(np.flatnonzero(np.diff(X.indptr))[0])
+    col = int(X.indices[X.indptr[row]])
+    with pytest.raises(ValueError):
+        X[row, col] = 1.0
+    with pytest.raises(ValueError):
+        X.data[0] = 1.0
+    # an unstored position too: scipy writes the stored part first
+    r = int(np.argmin(np.diff(X.indptr)))
+    c = int(np.setdiff1d(np.arange(X.shape[1]), X.indices[X.indptr[r]:X.indptr[r + 1]])[0])
+    with pytest.raises(ValueError), warnings.catch_warnings():
+        warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
+        X[r, c] = 1.0
+    assert X[r, c] == 0
+
+
+def write_planetoid_layout(directory, n=40, n_features=30, seed=0):
+    """Two planted communities with sparse binary features in the Planetoid
+    8-file layout: nodes 0-7 train, 8-27 validation, 28-39 test."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % 2
+    same = labels[:, None] == labels[None, :]
+    linked = np.triu(rng.random((n, n)) < np.where(same, 0.3, 0.02), 1)
+    graph = {u: [int(v) for v in np.flatnonzero(linked[u])] for u in range(n)}
+    topic = (np.arange(n_features) % 2)[None, :] == labels[:, None]
+    X = sp.csr_matrix(rng.random((n, n_features)) < np.where(topic, 0.3, 0.03),
+                      dtype=np.float64)
+    onehot = np.eye(2)[labels]
+    n_train, n_known = 8, 28
+    test_idx = rng.permutation(np.arange(n_known, n))
+    parts = {"x": X[:n_train], "y": onehot[:n_train], "allx": X[:n_known],
+             "ally": onehot[:n_known], "tx": X[test_idx], "ty": onehot[test_idx],
+             "graph": graph}
+    for part, obj in parts.items():
+        with open(directory / f"ind.cora.{part}", "wb") as fh:
+            pickle.dump(obj, fh)
+    (directory / "ind.cora.test.index").write_text(
+        "\n".join(str(i) for i in test_idx) + "\n")
+
+
+def test_train_deterministic_with_sparse_features(tmp_path):
+    write_planetoid_layout(tmp_path)
+    with pytest.warns(UserWarning, match="published"):
+        ds, splits = load_planetoid(tmp_path, "cora")
+    assert sp.issparse(ds.graph.features)
+    cfg = ModelConfig(h1=2, h2=1, recipe=MIXED, seed=9, max_epochs=60)
+    assert cfg.optimizer.dropout_rate > 0
+    _, r1 = train(cfg, ds, splits)
+    _, r2 = train(cfg, ds, splits)
+    assert r1.train_losses == r2.train_losses
+    assert r1.val_losses == r2.val_losses
+    assert r1.best_epoch == r2.best_epoch
+    assert r1.test_accuracy == r2.test_accuracy

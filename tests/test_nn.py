@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from motifgcn.graph import SparseMatrix, build_adjacency
 from motifgcn import nn
@@ -159,3 +160,37 @@ def test_dropout_survivor_fraction(rng):
     assert frac == pytest.approx(0.5, abs=0.02)
     # survivors are rescaled to keep the expectation
     assert np.allclose(out[out != 0], 2.0)
+
+
+def test_sparse_dropout_draws_only_stored_values():
+    X = sp.random(30, 50, density=0.1, format="csr", random_state=3)
+    before = (X.data.copy(), X.indices.copy(), X.indptr.copy())
+    rng = np.random.default_rng(11)
+    out, mask = dropout_forward(X, 0.4, rng, training=True)
+    # exactly nnz draws: the stream continues where nnz draws leave it
+    ref = np.random.default_rng(11)
+    ref.random(X.nnz)
+    assert rng.random() == ref.random()
+    assert mask.shape == (X.nnz,)
+    # the output's pattern is a subset of the input's
+    kept = set(zip(*out.nonzero()))
+    assert kept and kept <= set(zip(*X.nonzero()))
+    assert len(kept) < X.nnz
+    # kept values are rescaled by 1/(1-rate)
+    dense_in, dense_out = X.toarray(), out.toarray()
+    rows, cols = out.nonzero()
+    np.testing.assert_allclose(dense_out[rows, cols], dense_in[rows, cols] / 0.6,
+                               rtol=1e-15)
+    # the input is not mutated
+    for a, b in zip(before, (X.data, X.indices, X.indptr)):
+        assert np.array_equal(a, b)
+
+
+def test_sparse_dropout_matches_dense_when_all_stored(rng):
+    H = rng.random((12, 9)) + 0.1
+    out_d, mask_d = dropout_forward(H, 0.3, np.random.default_rng(7), training=True)
+    out_s, mask_s = dropout_forward(sp.csr_matrix(H), 0.3, np.random.default_rng(7),
+                                    training=True)
+    assert sp.issparse(out_s)
+    assert np.array_equal(mask_s, mask_d.ravel())
+    assert np.array_equal(out_s.toarray(), out_d)
