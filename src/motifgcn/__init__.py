@@ -1,10 +1,8 @@
 """motifgcn: motif-weighted graph convolution for node classification."""
 
-from .graph import Graph, SparseMatrix, build_adjacency, degree, max_degree
+from .graph import Graph, build_adjacency, degree, max_degree
 from .motifs import (
     MixRecipe,
-    MotifInstance,
-    MotifKind,
     MotifSpec,
     clustering_coefficient,
     enumerate_motif_instances,

@@ -1,4 +1,4 @@
-"""Core graph and sparse-matrix types shared by every other module.
+"""The Graph type and the frozen-CSR helpers shared by every other module.
 
 Nodes are contiguous integers in [0, N). Loaders are responsible for
 remapping external IDs before a Graph is constructed.
@@ -13,9 +13,10 @@ import scipy.sparse as sp
 
 __all__ = [
     "Graph",
-    "SparseMatrix",
     "build_adjacency",
+    "check_symmetric",
     "degree",
+    "freeze_csr",
     "max_degree",
 ]
 
@@ -35,11 +36,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _freeze_features(features):
-    """Read-only float64 copy: a dense array, or canonical CSR for sparse input."""
-    if not sp.issparse(features):
-        return _freeze(np.asarray(features, dtype=np.float64))
-    m = sp.csr_matrix(features, dtype=np.float64, copy=True)
+def freeze_csr(m) -> sp.csr_matrix:
+    """Canonical, read-only CSR: sorted indices, no duplicates, no explicit zeros.
+
+    A CSR input is changed in place rather than copied, so pass only a
+    matrix the caller owns. The read-only arrays make the result safe to
+    share across threads.
+    """
+    m = m.tocsr()
     m.sum_duplicates()
     m.eliminate_zeros()
     for a in (m.data, m.indices, m.indptr):
@@ -47,66 +51,20 @@ def _freeze_features(features):
     return m
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Symmetric real matrix in CSR form.
+def check_symmetric(m, tol: float = SYMMETRY_TOL) -> None:
+    """Raise GraphError unless m is square and max |m - m^T| <= tol."""
+    if m.shape[0] != m.shape[1]:
+        raise GraphError("matrix is not square")
+    d = m - m.T
+    if d.nnz and np.abs(d.data).max() > tol:
+        raise GraphError("matrix is not symmetric")
 
-    Column indices are sorted within each row and no explicit zeros are
-    stored. Instances are immutable; all arrays are read-only.
-    """
 
-    n: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "row_offsets", _freeze(np.asarray(self.row_offsets, dtype=np.int64)))
-        object.__setattr__(self, "col_indices", _freeze(np.asarray(self.col_indices, dtype=np.int64)))
-        object.__setattr__(self, "values", _freeze(np.asarray(self.values, dtype=np.float64)))
-        if self.row_offsets.shape != (self.n + 1,):
-            raise GraphError("row_offsets must have length n+1")
-        if self.col_indices.shape != self.values.shape:
-            raise GraphError("col_indices and values must align")
-
-    @classmethod
-    def from_scipy(cls, m) -> "SparseMatrix":
-        m = sp.csr_matrix(m)
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        m.sort_indices()
-        return cls(m.shape[0], m.indptr, m.indices, m.data)
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "SparseMatrix":
-        return cls.from_scipy(sp.csr_matrix(np.asarray(a, dtype=np.float64)))
-
-    def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets), shape=(self.n, self.n)
-        )
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
-
-    @property
-    def nnz(self) -> int:
-        return int(self.values.shape[0])
-
-    def diagonal(self) -> np.ndarray:
-        return self.to_scipy().diagonal()
-
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.to_scipy().sum(axis=1)).ravel()
-
-    def is_symmetric(self, tol: float = SYMMETRY_TOL) -> bool:
-        m = self.to_scipy()
-        d = m - m.T
-        return d.nnz == 0 or np.abs(d.data).max() <= tol
-
-    def check_symmetric(self, tol: float = SYMMETRY_TOL) -> None:
-        if not self.is_symmetric(tol):
-            raise GraphError("matrix is not symmetric")
+def _freeze_features(features):
+    """Read-only float64 copy: a dense array, or canonical CSR for sparse input."""
+    if not sp.issparse(features):
+        return _freeze(np.asarray(features, dtype=np.float64))
+    return freeze_csr(sp.csr_matrix(features, dtype=np.float64, copy=True))
 
 
 @dataclass(frozen=True)
@@ -165,16 +123,13 @@ class Graph:
             if present.size and (present.min() < 0 or present.max() >= self.n_classes):
                 raise GraphError("label out of range [0, n_classes)")
             object.__setattr__(self, "labels", _freeze(labels))
-        # Adjacency in scipy form, built once and reused for neighbor queries.
+        # Frozen adjacency, built once; serves neighbor queries and
+        # build_adjacency.
         n = self.n_nodes
-        if edges.size:
-            rows = np.concatenate([edges[:, 0], edges[:, 1]])
-            cols = np.concatenate([edges[:, 1], edges[:, 0]])
-            adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-        else:
-            adj = sp.csr_matrix((n, n))
-        adj.sort_indices()
-        object.__setattr__(self, "_neighbors", adj)
+        rows = np.concatenate([edges[:, 0], edges[:, 1]])
+        cols = np.concatenate([edges[:, 1], edges[:, 0]])
+        adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        object.__setattr__(self, "_neighbors", freeze_csr(adj))
 
     @classmethod
     def from_edge_list(cls, n_nodes, raw_edges, **kwargs) -> "Graph":
@@ -220,9 +175,12 @@ class Graph:
         return np.diff(self._neighbors.indptr).astype(np.int64)
 
 
-def build_adjacency(graph: Graph) -> SparseMatrix:
-    """Binary symmetric adjacency matrix A with zero diagonal, nnz = 2|E|."""
-    return SparseMatrix.from_scipy(graph._neighbors)
+def build_adjacency(graph: Graph) -> sp.csr_matrix:
+    """Binary symmetric adjacency matrix A with zero diagonal, nnz = 2|E|.
+
+    Returns the graph's own frozen CSR matrix, not a copy.
+    """
+    return graph._neighbors
 
 
 def degree(graph: Graph, v: int) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, SparseMatrix
+from .graph import Graph
 from .motifs import MixRecipe, mix_matrices
 from . import nn
 from .nn import LayerParams, OptimizerConfig
@@ -73,7 +73,7 @@ class Layer:
 
 @dataclass
 class Model:
-    mixed_matrix: SparseMatrix
+    mixed_matrix: sp.csr_matrix
     layers: list
     config: ModelConfig
 
@@ -95,7 +95,7 @@ class TrainReport:
 
 
 def build_model(config: ModelConfig, graph: Graph,
-                mixed: SparseMatrix | None = None) -> Model:
+                mixed: sp.csr_matrix | None = None) -> Model:
     """Assemble mixed matrix and Glorot-initialized layers.
 
     Layer widths run feature_dim -> hidden (h1+h2-1 times) -> n_classes.
@@ -127,7 +127,7 @@ def forward(model: Model, X, training: bool = False, rng=None,
     through the first layer's dropout and ``Hin @ W``. Dropout hits each
     layer's input and is active only in training mode.
     """
-    if X.shape[0] != model.mixed_matrix.n:
+    if X.shape[0] != model.mixed_matrix.shape[0]:
         raise ValueError("feature rows must match mixed-matrix dimension")
     rate = model.config.optimizer.dropout_rate
     if sp.issparse(X):
@@ -217,22 +217,27 @@ def _as_index(mask) -> np.ndarray:
 
 
 def train(config: ModelConfig, dataset, splits,
-          mixed: SparseMatrix | None = None):
+          mixed: sp.csr_matrix | None = None):
     """Full-batch training loop. Returns (model, TrainReport).
 
     Deterministic given config.seed; one dropout RNG stream is drawn
-    from the same seed as the weight init.
+    from the same seed as the weight init. Raises ValueError before the
+    first epoch when a split index lies outside [0, N).
     """
     graph = dataset.graph
     t0 = time.perf_counter()
+    train_idx = _as_index(splits.train)
+    val_idx = _as_index(splits.validation)
+    test_idx = _as_index(splits.test)
+    if train_idx.size == 0:
+        raise ValueError("train split is empty")
+    for name, idx in (("train", train_idx), ("validation", val_idx), ("test", test_idx)):
+        if idx.size and (idx.min() < 0 or idx.max() >= graph.n_nodes):
+            raise ValueError(f"{name} split index out of range [0, {graph.n_nodes})")
     model = build_model(config, graph, mixed=mixed)
     rng = np.random.default_rng((config.seed, 0xD0))  # dropout stream
     X = graph.features
     y = graph.labels
-    train_idx = _as_index(splits.train)
-    val_idx = _as_index(splits.validation)
-    if train_idx.size == 0:
-        raise ValueError("train split is empty")
 
     train_losses, val_losses, val_accs = [], [], []
     best_val = np.inf
@@ -264,7 +269,7 @@ def train(config: ModelConfig, dataset, splits,
 
     for layer, saved in zip(model.layers, best_weights):
         layer.params = saved
-    test_acc = evaluate(model, X, y, splits.test)
+    test_acc = evaluate(model, X, y, test_idx)
     report = TrainReport(
         train_losses=train_losses,
         val_losses=val_losses,

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, SparseMatrix, build_adjacency, max_degree
+from .graph import Graph, build_adjacency, check_symmetric, freeze_csr, max_degree
 
 __all__ = [
     "MotifKind",
@@ -122,15 +122,15 @@ class MotifInstance:
     edge_set: frozenset
 
 
-def _check_binary_adjacency(A: SparseMatrix) -> None:
-    A.check_symmetric()
-    if A.nnz and not np.all(A.values == 1.0):
+def _check_binary_adjacency(A: sp.csr_matrix) -> None:
+    check_symmetric(A)
+    if A.nnz and not np.all(A.data == 1.0):
         raise MotifError("adjacency must be binary (all stored values 1)")
     if np.any(A.diagonal() != 0):
         raise MotifError("adjacency must have zero diagonal")
 
 
-def triangle_motif_matrix(A: SparseMatrix) -> SparseMatrix:
+def triangle_motif_matrix(A: sp.csr_matrix) -> sp.csr_matrix:
     """Triangle motif matrix.
 
     Off-diagonal (u, v): number of triangles containing both u and v,
@@ -139,28 +139,26 @@ def triangle_motif_matrix(A: SparseMatrix) -> SparseMatrix:
     of triangles containing v.
     """
     _check_binary_adjacency(A)
-    S = A.to_scipy()
-    common = (S @ S).multiply(S)  # common-neighbor counts restricted to edges
+    common = (A @ A).multiply(A)  # common-neighbor counts restricted to edges
     per_node = np.asarray(common.sum(axis=1)).ravel() / 2.0
-    return SparseMatrix.from_scipy(common + sp.diags(per_node))
+    return freeze_csr(common + sp.diags(per_node))
 
 
-def wedge_motif_matrix(A: SparseMatrix) -> SparseMatrix:
+def wedge_motif_matrix(A: sp.csr_matrix) -> sp.csr_matrix:
     """Wedge (length-2 path) motif matrix under co-occurrence counting.
 
     Off-diagonal (u, v):  [uv in E] * (d(u) + d(v) - 2)  +  |N(u) ∩ N(v)|
     Diagonal  (v, v):  C(d(v), 2)  +  sum over neighbors u of (d(u) - 1)
     """
     _check_binary_adjacency(A)
-    S = A.to_scipy()
-    d = np.asarray(S.sum(axis=1)).ravel()
+    d = np.asarray(A.sum(axis=1)).ravel()
     D = sp.diags(d)
-    adjacent_part = D @ S + S @ D - 2.0 * S
-    paths = S @ S
+    adjacent_part = D @ A + A @ D - 2.0 * A
+    paths = A @ A
     paths.setdiag(0.0)
     paths.eliminate_zeros()
-    diag = d * (d - 1) / 2.0 + S @ d - d
-    return SparseMatrix.from_scipy(adjacent_part + paths + sp.diags(diag))
+    diag = d * (d - 1) / 2.0 + A @ d - d
+    return freeze_csr(adjacent_part + paths + sp.diags(diag))
 
 
 def _connected_subsets(graph: Graph, k: int):
@@ -238,23 +236,23 @@ def motif_matrix_oracle(graph: Graph, spec: MotifSpec, semantics=CO_OCCURRENCE,
     return out
 
 
-def normalize_symmetric(M: SparseMatrix, add_self_loops: bool) -> SparseMatrix:
+def normalize_symmetric(M: sp.csr_matrix, add_self_loops: bool) -> sp.csr_matrix:
     """Symmetric normalization D^{-1/2} (M [+ I]) D^{-1/2}.
 
     D is the diagonal of row sums after the optional self-loop addition.
     Zero-sum rows are left as zero rows.
     """
-    if M.nnz and M.values.min() < 0:
+    if M.nnz and M.data.min() < 0:
         raise MotifError("normalize_symmetric requires nonnegative entries")
-    S = M.to_scipy()
+    S = M
     if add_self_loops:
-        S = S + sp.identity(M.n, format="csr")
+        S = S + sp.identity(M.shape[0], format="csr")
     r = np.asarray(S.sum(axis=1)).ravel()
     scale = np.zeros_like(r)
     nz = r > 0
     scale[nz] = 1.0 / np.sqrt(r[nz])
     D = sp.diags(scale)
-    return SparseMatrix.from_scipy(D @ S @ D)
+    return freeze_csr(D @ S @ D)
 
 
 class MatrixSource(Enum):
@@ -298,7 +296,7 @@ class MixRecipe:
         return ",".join(f"{src.value}:{w:g}" for src, w in self.components)
 
 
-def _component_matrix(source: MatrixSource, A: SparseMatrix) -> SparseMatrix:
+def _component_matrix(source: MatrixSource, A: sp.csr_matrix) -> sp.csr_matrix:
     if source is MatrixSource.EDGE:
         # The +I of GCN-style normalization supplies self-affinity here;
         # motif matrices already carry it on their extended diagonal.
@@ -308,7 +306,7 @@ def _component_matrix(source: MatrixSource, A: SparseMatrix) -> SparseMatrix:
     return normalize_symmetric(wedge_motif_matrix(A), add_self_loops=False)
 
 
-def mix_matrices(recipe: MixRecipe, graph: Graph) -> SparseMatrix:
+def mix_matrices(recipe: MixRecipe, graph: Graph) -> sp.csr_matrix:
     """Normalized mixed matrix: sum of independently normalized components.
 
     Weights are rescaled to sum to 1, so ``8:1:2`` and ``16:2:4`` are the
@@ -330,9 +328,9 @@ def mix_matrices(recipe: MixRecipe, graph: Graph) -> SparseMatrix:
     if not kept:
         raise MotifError("no usable components in recipe")
     total = sum(w for _, w in kept)
-    mixed = sum((m.to_scipy() * (w / total) for m, w in kept),
+    mixed = sum((m * (w / total) for m, w in kept),
                 sp.csr_matrix((graph.n_nodes, graph.n_nodes)))
-    return SparseMatrix.from_scipy(mixed)
+    return freeze_csr(mixed)
 
 
 def triangle_count(graph: Graph) -> int:

@@ -2,9 +2,9 @@
 
 Everything operates on float64 numpy arrays, except that the network
 input may be a scipy CSR matrix (sparse bag-of-words features). There
-are no bias terms anywhere; layers compute activation(S @ H @ W) or
-activation(H @ W). The model module assembles these into a full
-forward/backward pass.
+are no bias terms anywhere. The model module assembles these into
+layers computing activation(S @ H @ W) or activation(H @ W), and into
+the full forward/backward pass.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import SparseMatrix
-
 __all__ = [
     "Activation",
     "LayerParams",
@@ -24,8 +22,6 @@ __all__ = [
     "spmm",
     "relu",
     "softmax_rows",
-    "gcn_layer_forward",
-    "mlp_layer_forward",
     "cross_entropy_loss",
     "adam_step",
     "dropout_forward",
@@ -89,12 +85,12 @@ def glorot_init(in_dim: int, out_dim: int, rng) -> np.ndarray:
     return rng.uniform(-s, s, size=(in_dim, out_dim))
 
 
-def spmm(S: SparseMatrix, X: np.ndarray) -> np.ndarray:
+def spmm(S: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
     """Sparse @ dense product."""
     X = np.asarray(X, dtype=np.float64)
-    if S.n != X.shape[0]:
-        raise ValueError(f"dimension mismatch: {S.n} vs {X.shape[0]}")
-    return S.to_scipy() @ X
+    if S.shape[1] != X.shape[0]:
+        raise ValueError(f"dimension mismatch: {S.shape[1]} vs {X.shape[0]}")
+    return S @ X
 
 
 def relu(X: np.ndarray) -> np.ndarray:
@@ -115,22 +111,6 @@ def _activate(pre: np.ndarray, activation: Activation) -> np.ndarray:
     if activation == NONE:
         return pre
     raise ValueError(f"unknown activation {activation!r}")
-
-
-def gcn_layer_forward(S: SparseMatrix, H: np.ndarray, params: LayerParams,
-                      activation: Activation) -> np.ndarray:
-    """activation(S @ H @ W): weighted aggregation over motif-matrix neighbors."""
-    if H.shape[1] != params.W.shape[0]:
-        raise ValueError("H.cols must equal W.in_dim")
-    return _activate(spmm(S, H @ params.W), activation)
-
-
-def mlp_layer_forward(H: np.ndarray, params: LayerParams,
-                      activation: Activation) -> np.ndarray:
-    """activation(H @ W): per-node transform without aggregation."""
-    if H.shape[1] != params.W.shape[0]:
-        raise ValueError("H.cols must equal W.in_dim")
-    return _activate(H @ params.W, activation)
 
 
 def cross_entropy_loss(Z: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:

@@ -121,12 +121,12 @@ def oracle_check(n_graphs: int = 50, max_n: int = 25, seed: int = 1,
         p = float(rng.uniform(0.1, 0.5))
         g = random_graph(rng, n, p)
         A = build_adjacency(g)
-        tri_kernel = triangle_motif_matrix(A).to_dense()
+        tri_kernel = triangle_motif_matrix(A).toarray()
         tri_oracle = motif_matrix_oracle(g, MotifSpec.triangle(), semantics)
         if not np.array_equal(tri_kernel, tri_oracle):
             mismatches.append({"graph": k, "motif": "triangle",
                                "coords": _first_mismatch(tri_kernel, tri_oracle)})
-        wedge_kernel = wedge_motif_matrix(A).to_dense()
+        wedge_kernel = wedge_motif_matrix(A).toarray()
         wedge_oracle = motif_matrix_oracle(g, MotifSpec.wedge(), semantics)
         if not np.array_equal(wedge_kernel, wedge_oracle):
             if semantics == EDGE_IN_INSTANCE:

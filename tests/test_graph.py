@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from motifgcn.graph import (
     Graph,
     GraphError,
-    SparseMatrix,
     build_adjacency,
     degree,
+    freeze_csr,
     max_degree,
 )
 from motifgcn.verify import random_graph
@@ -15,19 +16,19 @@ from motifgcn.verify import random_graph
 def test_k3_adjacency(k3):
     A = build_adjacency(k3)
     expected = np.ones((3, 3)) - np.eye(3)
-    assert np.array_equal(A.to_dense(), expected)
+    assert np.array_equal(A.toarray(), expected)
     assert A.nnz == 6
 
 
 def test_empty_graph_adjacency():
     g = Graph(4, np.empty((0, 2), dtype=np.int64))
     A = build_adjacency(g)
-    assert np.array_equal(A.to_dense(), np.zeros((4, 4)))
+    assert np.array_equal(A.toarray(), np.zeros((4, 4)))
 
 
 def test_adjacency_exact_symmetry(rng):
     g = random_graph(rng, 40, 0.2)
-    A = build_adjacency(g).to_scipy()
+    A = build_adjacency(g)
     At = A.T.tocsr()
     At.sort_indices()
     assert np.array_equal(A.indptr, At.indptr)
@@ -53,7 +54,7 @@ def test_degree_out_of_range(k3):
 
 def test_max_degree_matches_dense_recount(rng):
     g = random_graph(rng, 30, 0.25)
-    dense = build_adjacency(g).to_dense()
+    dense = build_adjacency(g).toarray()
     assert max_degree(g) == int(dense.sum(axis=1).max())
 
 
@@ -66,10 +67,10 @@ def test_degree_sum_is_twice_edge_count(rng):
 def test_csr_dense_round_trip(rng):
     g = random_graph(rng, 15, 0.3)
     A = build_adjacency(g)
-    back = SparseMatrix.from_dense(A.to_dense())
-    assert np.array_equal(A.row_offsets, back.row_offsets)
-    assert np.array_equal(A.col_indices, back.col_indices)
-    assert np.array_equal(A.values, back.values)
+    back = freeze_csr(sp.csr_matrix(A.toarray()))
+    assert np.array_equal(A.indptr, back.indptr)
+    assert np.array_equal(A.indices, back.indices)
+    assert np.array_equal(A.data, back.data)
 
 
 def test_graph_rejects_bad_edges():

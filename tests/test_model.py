@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import warnings
 
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 
 from motifgcn.data import SplitSpec, Splits, load_planetoid, make_splits
 from motifgcn.graph import Graph, build_adjacency
+from motifgcn import model as model_module
 from motifgcn.motifs import MixRecipe, normalize_symmetric
 from motifgcn.model import (
     ModelConfig,
@@ -89,18 +91,22 @@ def test_forward_rows_are_distributions(rng):
 
 
 def test_forward_equals_two_layer_gcn_formula(rng):
-    # pure edge recipe, h1=2, h2=0 must reproduce
-    # softmax(A_hat relu(A_hat X W0) W1) computed densely and directly
+    # pure edge recipe must reproduce, computed densely and directly,
+    # softmax(A_hat relu(A_hat X W0) W1) for h1=2, h2=0 and
+    # softmax(relu(A_hat X W0) W1) for h1=1, h2=1 (the MLP layer)
     g = labeled_graph(rng, n=16)
-    cfg = ModelConfig(h1=2, h2=0, hidden_dim=8, recipe=EDGE_ONLY, seed=4,
-                      optimizer=OptimizerConfig(dropout_rate=0.0))
-    m = build_model(cfg, g)
-    A_hat = normalize_symmetric(build_adjacency(g), add_self_loops=True).to_dense()
-    W0, W1 = (l.params.W for l in m.layers)
-    pre = A_hat @ np.maximum(A_hat @ g.features @ W0, 0.0) @ W1
-    e = np.exp(pre - pre.max(axis=1, keepdims=True))
-    ref = e / e.sum(axis=1, keepdims=True)
-    assert np.allclose(forward(m, g.features), ref, atol=1e-10)
+    A_hat = normalize_symmetric(build_adjacency(g), add_self_loops=True).toarray()
+    for h1, h2 in [(2, 0), (1, 1)]:
+        cfg = ModelConfig(h1=h1, h2=h2, hidden_dim=8, recipe=EDGE_ONLY, seed=4,
+                          optimizer=OptimizerConfig(dropout_rate=0.0))
+        m = build_model(cfg, g)
+        W0, W1 = (l.params.W for l in m.layers)
+        pre = np.maximum(A_hat @ g.features @ W0, 0.0) @ W1
+        if h1 == 2:
+            pre = A_hat @ pre
+        e = np.exp(pre - pre.max(axis=1, keepdims=True))
+        ref = e / e.sum(axis=1, keepdims=True)
+        assert np.allclose(forward(m, g.features), ref, atol=1e-10), (h1, h2)
 
 
 def test_forward_permutation_equivariance(rng):
@@ -198,6 +204,21 @@ def test_train_divergence_reports_epoch(small_dataset, small_splits):
     )
     with pytest.raises(TrainingDiverged):
         train(cfg, small_dataset, small_splits)
+
+
+@pytest.mark.parametrize("split", ["train", "validation", "test"])
+def test_train_rejects_out_of_range_split_index(small_dataset, small_splits,
+                                                monkeypatch, split):
+    n = small_dataset.graph.n_nodes
+    bad = dataclasses.replace(
+        small_splits, **{split: np.append(getattr(small_splits, split), n + 3)})
+
+    def no_epochs(*args, **kwargs):
+        raise AssertionError("an epoch ran before the split was checked")
+
+    monkeypatch.setattr(model_module, "forward", no_epochs)
+    with pytest.raises(ValueError, match=f"{split} split index out of range"):
+        train(ModelConfig(h1=1, h2=0, recipe=EDGE_ONLY), small_dataset, bad)
 
 
 # -------------------------------------------------------------- evaluation

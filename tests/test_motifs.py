@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from motifgcn.graph import Graph, SparseMatrix, build_adjacency, max_degree
+from motifgcn.graph import Graph, GraphError, build_adjacency, check_symmetric, freeze_csr, max_degree
 from motifgcn.motifs import (
     EDGE_IN_INSTANCE,
     MixRecipe,
@@ -24,7 +24,7 @@ from motifgcn.verify import random_graph
 # ---------------------------------------------------------------- kernels
 
 def test_triangle_matrix_k3(k3):
-    M = triangle_motif_matrix(build_adjacency(k3)).to_dense()
+    M = triangle_motif_matrix(build_adjacency(k3)).toarray()
     assert np.array_equal(M, np.ones((3, 3)))
 
 
@@ -34,33 +34,37 @@ def test_triangle_matrix_path_is_zero(path3):
 
 
 def test_wedge_matrix_path(path3):
-    M = wedge_motif_matrix(build_adjacency(path3)).to_dense()
+    M = wedge_motif_matrix(build_adjacency(path3)).toarray()
     assert np.array_equal(M, np.ones((3, 3)))
 
 
 def test_wedge_matrix_k3(k3):
     # three wedges in K3, every pair (and every node) is in all of them
-    M = wedge_motif_matrix(build_adjacency(k3)).to_dense()
+    M = wedge_motif_matrix(build_adjacency(k3)).toarray()
     assert np.array_equal(M, 3 * np.ones((3, 3)))
 
 
 def test_kernels_reject_bad_input(k3):
     A = build_adjacency(k3)
-    nonbinary = SparseMatrix.from_dense(2 * A.to_dense())
+    nonbinary = freeze_csr(sp.csr_matrix(2 * A.toarray()))
     with pytest.raises(MotifError):
         triangle_motif_matrix(nonbinary)
-    with_diag = SparseMatrix.from_dense(A.to_dense() + np.eye(3))
+    with_diag = freeze_csr(sp.csr_matrix(A.toarray() + np.eye(3)))
     with pytest.raises(MotifError):
         wedge_motif_matrix(with_diag)
+    asymmetric = freeze_csr(sp.csr_matrix(np.triu(A.toarray())))
+    for kernel in (triangle_motif_matrix, wedge_motif_matrix):
+        with pytest.raises(GraphError):
+            kernel(asymmetric)
 
 
 def test_kernels_match_oracle_on_random_graphs(rng):
     for _ in range(15):
         g = random_graph(rng, int(rng.integers(5, 26)), float(rng.uniform(0.1, 0.5)))
         A = build_adjacency(g)
-        tri = triangle_motif_matrix(A).to_dense()
+        tri = triangle_motif_matrix(A).toarray()
         assert np.array_equal(tri, motif_matrix_oracle(g, MotifSpec.triangle()))
-        wedge = wedge_motif_matrix(A).to_dense()
+        wedge = wedge_motif_matrix(A).toarray()
         assert np.array_equal(wedge, motif_matrix_oracle(g, MotifSpec.wedge()))
 
 
@@ -68,16 +72,16 @@ def test_motif_matrices_symmetric_integer(rng):
     g = random_graph(rng, 20, 0.3)
     for M in (triangle_motif_matrix(build_adjacency(g)),
               wedge_motif_matrix(build_adjacency(g))):
-        assert M.is_symmetric()
-        assert np.all(M.values >= 0)
-        assert np.all(M.values == np.round(M.values))
+        check_symmetric(M)
+        assert np.all(M.data >= 0)
+        assert np.all(M.data == np.round(M.data))
 
 
 def test_triangle_zero_preservation(rng):
     for _ in range(5):
         g = random_graph(rng, 20, 0.25)
-        A = build_adjacency(g).to_dense()
-        M = triangle_motif_matrix(build_adjacency(g)).to_dense()
+        A = build_adjacency(g).toarray()
+        M = triangle_motif_matrix(build_adjacency(g)).toarray()
         off = ~np.eye(g.n_nodes, dtype=bool)
         assert np.all(M[off][A[off] == 0] == 0)
 
@@ -88,9 +92,31 @@ def test_wedge_sparsity_and_support_bounds(rng):
         A = build_adjacency(g)
         W = wedge_motif_matrix(A)
         assert W.nnz <= 2 * g.n_edges * max_degree(g)
-        dense_A = A.to_dense()
+        dense_A = A.toarray()
         reach = dense_A + dense_A @ dense_A
-        assert np.all(reach[W.to_dense() != 0] != 0)
+        assert np.all(reach[W.toarray() != 0] != 0)
+
+
+def test_builders_return_frozen_canonical_csr(rng):
+    # run_protocol shares one mixed matrix across threads, so every
+    # builder must hand out read-only canonical CSR.
+    g = random_graph(rng, 20, 0.3)
+    A = build_adjacency(g)
+    built = [
+        A,
+        triangle_motif_matrix(A),
+        wedge_motif_matrix(A),
+        normalize_symmetric(A, add_self_loops=True),
+        mix_matrices(MixRecipe.parse("edge:8,triangle:1,wedge:2"), g),
+    ]
+    for M in built:
+        assert sp.isspmatrix_csr(M)
+        for a in (M.data, M.indices, M.indptr):
+            assert not a.flags.writeable
+        # row-major keys strictly increase: sorted indices, no duplicates
+        rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+        assert np.all(np.diff(rows * M.shape[1] + M.indices) > 0)
+        assert np.all(M.data != 0)
 
 
 # ------------------------------------------------------------- enumeration
@@ -162,24 +188,24 @@ def test_bad_patterns_rejected():
 # ------------------------------------------------------------ normalization
 
 def test_normalize_identity():
-    I = SparseMatrix.from_dense(np.eye(4))
+    I = freeze_csr(sp.csr_matrix(np.eye(4)))
     out = normalize_symmetric(I, add_self_loops=False)
-    assert np.allclose(out.to_dense(), np.eye(4), atol=1e-15)
+    assert np.allclose(out.toarray(), np.eye(4), atol=1e-15)
 
 
 def test_normalize_k3_with_self_loops(k3):
     out = normalize_symmetric(build_adjacency(k3), add_self_loops=True)
-    assert np.allclose(out.to_dense(), np.full((3, 3), 1 / 3), atol=1e-15)
+    assert np.allclose(out.toarray(), np.full((3, 3), 1 / 3), atol=1e-15)
 
 
 def test_normalize_keeps_zero_rows():
-    M = SparseMatrix.from_dense(np.diag([0.0, 2.0, 3.0]))
+    M = freeze_csr(sp.csr_matrix(np.diag([0.0, 2.0, 3.0])))
     out = normalize_symmetric(M, add_self_loops=False)
-    assert out.to_dense()[0].sum() == 0
+    assert out.toarray()[0].sum() == 0
 
 
 def test_normalize_rejects_negative():
-    M = SparseMatrix.from_dense(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    M = freeze_csr(sp.csr_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]])))
     with pytest.raises(MotifError):
         normalize_symmetric(M, add_self_loops=False)
 
@@ -188,18 +214,18 @@ def test_normalize_preserves_sparsity_pattern(rng):
     g = random_graph(rng, 18, 0.3)
     W = wedge_motif_matrix(build_adjacency(g))
     out = normalize_symmetric(W, add_self_loops=False)
-    assert np.array_equal(W.row_offsets, out.row_offsets)
-    assert np.array_equal(W.col_indices, out.col_indices)
+    assert np.array_equal(W.indptr, out.indptr)
+    assert np.array_equal(W.indices, out.indices)
 
 
 def test_normalize_matches_dense_formula(rng):
     g = random_graph(rng, 18, 0.3)
-    W = wedge_motif_matrix(build_adjacency(g)).to_dense()
+    W = wedge_motif_matrix(build_adjacency(g)).toarray()
     r = W.sum(axis=1)
     scale = np.where(r > 0, 1 / np.sqrt(np.where(r > 0, r, 1)), 0.0)
     ref = scale[:, None] * W * scale[None, :]
-    out = normalize_symmetric(SparseMatrix.from_dense(W), False)
-    assert np.allclose(out.to_dense(), ref, atol=1e-14)
+    out = normalize_symmetric(freeze_csr(sp.csr_matrix(W)), False)
+    assert np.allclose(out.toarray(), ref, atol=1e-14)
 
 
 # ------------------------------------------------------------------ mixing
@@ -208,20 +234,20 @@ def test_mix_single_edge_component_is_gcn_matrix(rng):
     g = random_graph(rng, 12, 0.4)
     mixed = mix_matrices(MixRecipe.parse("edge:1"), g)
     ref = normalize_symmetric(build_adjacency(g), add_self_loops=True)
-    assert np.allclose(mixed.to_dense(), ref.to_dense(), atol=1e-15)
+    assert np.allclose(mixed.toarray(), ref.toarray(), atol=1e-15)
 
 
 def test_mix_weight_normalization(rng):
     g = random_graph(rng, 14, 0.4)
     A = build_adjacency(g)
-    mixed = mix_matrices(MixRecipe.parse("edge:8,triangle:1,wedge:2"), g).to_dense()
+    mixed = mix_matrices(MixRecipe.parse("edge:8,triangle:1,wedge:2"), g).toarray()
     ref = (
-        8 / 11 * normalize_symmetric(A, True).to_dense()
-        + 1 / 11 * normalize_symmetric(triangle_motif_matrix(A), False).to_dense()
-        + 2 / 11 * normalize_symmetric(wedge_motif_matrix(A), False).to_dense()
+        8 / 11 * normalize_symmetric(A, True).toarray()
+        + 1 / 11 * normalize_symmetric(triangle_motif_matrix(A), False).toarray()
+        + 2 / 11 * normalize_symmetric(wedge_motif_matrix(A), False).toarray()
     )
     assert np.allclose(mixed, ref, atol=1e-14)
-    scaled = mix_matrices(MixRecipe.parse("edge:16,triangle:2,wedge:4"), g).to_dense()
+    scaled = mix_matrices(MixRecipe.parse("edge:16,triangle:2,wedge:4"), g).toarray()
     assert np.allclose(mixed, scaled, atol=1e-14)
 
 
@@ -230,14 +256,14 @@ def test_mix_output_symmetric(rng):
         weights = rng.uniform(0.1, 5.0, size=3)
         recipe = MixRecipe(tuple(zip(("edge", "triangle", "wedge"), weights)))
         g = random_graph(rng, 15, 0.3)
-        assert mix_matrices(recipe, g).is_symmetric(1e-12)
+        check_symmetric(mix_matrices(recipe, g), 1e-12)
 
 
 def test_mix_drops_all_zero_component(path3):
     with pytest.warns(UserWarning, match="triangle"):
         mixed = mix_matrices(MixRecipe.parse("edge:1,triangle:1"), path3)
     ref = normalize_symmetric(build_adjacency(path3), True)
-    assert np.allclose(mixed.to_dense(), ref.to_dense(), atol=1e-15)
+    assert np.allclose(mixed.toarray(), ref.toarray(), atol=1e-15)
 
 
 def test_recipe_validation():

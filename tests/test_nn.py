@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from motifgcn.graph import SparseMatrix, build_adjacency
-from motifgcn import nn
+from motifgcn.graph import build_adjacency, freeze_csr
 from motifgcn.nn import (
     LayerParams,
     OptimizerConfig,
     adam_step,
     cross_entropy_loss,
     dropout_forward,
-    gcn_layer_forward,
     glorot_init,
-    mlp_layer_forward,
     spmm,
 )
 
@@ -37,7 +34,7 @@ def test_glorot_mean_near_zero():
 
 def test_spmm_identity(rng):
     X = rng.standard_normal((5, 3))
-    I = SparseMatrix.from_dense(np.eye(5))
+    I = freeze_csr(sp.csr_matrix(np.eye(5)))
     assert np.array_equal(spmm(I, X), X)
 
 
@@ -50,45 +47,13 @@ def test_spmm_matches_dense(rng):
     S = rng.random((20, 20))
     S = (S + S.T) * (S < 0.3)
     X = rng.standard_normal((20, 7))
-    out = spmm(SparseMatrix.from_dense(S + S.T), X)
+    out = spmm(freeze_csr(sp.csr_matrix(S + S.T)), X)
     assert np.allclose(out, (S + S.T) @ X, atol=1e-12)
 
 
 def test_spmm_shape_mismatch(k3):
     with pytest.raises(ValueError):
         spmm(build_adjacency(k3), np.ones((4, 2)))
-
-
-def test_gcn_layer_identity_passthrough(rng):
-    H = np.abs(rng.standard_normal((4, 3)))
-    I = SparseMatrix.from_dense(np.eye(4))
-    out = gcn_layer_forward(I, H, LayerParams(np.eye(3)), nn.RELU)
-    assert np.allclose(out, H)
-
-
-def test_gcn_layer_softmax_rows_sum_to_one(rng):
-    S = SparseMatrix.from_dense(np.eye(6))
-    H = rng.standard_normal((6, 4))
-    W = rng.standard_normal((4, 3))
-    out = gcn_layer_forward(S, H, LayerParams(W), nn.SOFTMAX)
-    assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(out >= 0)
-
-
-def test_gcn_layer_matches_dense_oracle(rng, k4):
-    S = build_adjacency(k4)
-    H = rng.standard_normal((4, 5))
-    W = rng.standard_normal((5, 2))
-    out = gcn_layer_forward(S, H, LayerParams(W), nn.RELU)
-    ref = np.maximum(S.to_dense() @ H @ W, 0.0)
-    assert np.allclose(out, ref, atol=1e-10)
-
-
-def test_mlp_layer(rng):
-    H = rng.standard_normal((5, 3))
-    out = mlp_layer_forward(H, LayerParams(np.eye(3)), nn.RELU)
-    assert np.array_equal(out, np.maximum(H, 0.0))
-    assert np.all(out >= 0)
 
 
 def test_cross_entropy_one_hot_correct():
