@@ -68,13 +68,7 @@ def _load_dataset(cfg: RunConfig):
             cfg.resolve_path(cfg.labels_file),
             normalize_features=cfg.normalize_flag(),
         )
-    spec = data_io.SplitSpec(
-        per_class_train=cfg.per_class_train,
-        val_fraction=cfg.val_fraction,
-        test_fraction=cfg.test_fraction,
-        allow_small_classes=cfg.allow_small_classes,
-    )
-    return dataset, data_io.make_splits(dataset, spec, cfg.seed)
+    return dataset, data_io.make_splits(dataset, cfg.split_spec(), cfg.seed)
 
 
 def cmd_motif_stats(cfg: RunConfig, args) -> int:

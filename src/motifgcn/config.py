@@ -12,7 +12,8 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .motifs import MixRecipe, MotifError
+from .data import SplitSpec
+from .motifs import MixRecipe
 from .model import ModelConfig
 from .nn import OptimizerConfig
 
@@ -107,10 +108,6 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
-        try:
-            MixRecipe.parse(self.recipe)
-        except MotifError as exc:
-            raise ConfigError(f"bad recipe: {exc}")
         if self.dataset and self.dataset_kind() not in ("planetoid", "ego", "generic"):
             raise ConfigError(f"unknown dataset spec {self.dataset!r}")
         if self.semantics not in ("co_occurrence", "edge_in_instance"):
@@ -119,15 +116,12 @@ class RunConfig:
             raise ConfigError("normalize_features must be auto/true/false")
         if self.label_rule not in ("lowest", "largest"):
             raise ConfigError(f"unknown label_rule {self.label_rule!r}")
-        for name in ("h1", "hidden_dim", "max_epochs", "patience", "runs", "threads"):
+        for name in ("runs", "threads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.h2 < 0:
-            raise ConfigError("h2 must be >= 0")
         try:
-            OptimizerConfig(learning_rate=self.learning_rate,
-                            dropout_rate=self.dropout,
-                            weight_decay=self.weight_decay)
+            self.model_config()  # also parses the recipe
+            self.split_spec()
         except ValueError as exc:
             raise ConfigError(str(exc))
 
@@ -171,6 +165,14 @@ class RunConfig:
             max_epochs=self.max_epochs,
             patience=self.patience,
             seed=self.seed,
+        )
+
+    def split_spec(self) -> SplitSpec:
+        return SplitSpec(
+            per_class_train=self.per_class_train,
+            val_fraction=self.val_fraction,
+            test_fraction=self.test_fraction,
+            allow_small_classes=self.allow_small_classes,
         )
 
     def echo(self) -> dict:

@@ -91,6 +91,14 @@ class SplitSpec:
     # node to training instead of raising.
     allow_small_classes: bool = False
 
+    def __post_init__(self):
+        if self.per_class_train < 1:
+            raise ValueError("per_class_train must be >= 1")
+        if not (0 < self.val_fraction and 0 < self.test_fraction
+                and self.val_fraction + self.test_fraction < 1):
+            raise ValueError("val_fraction and test_fraction must be > 0 "
+                             "with a sum below 1")
+
 
 def _row_normalize(X):
     """Divide each row by its sum (zero rows stay zero); keeps CSR sparse."""

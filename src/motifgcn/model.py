@@ -1,9 +1,10 @@
 """End-to-end model: motif-GCN layers feeding MLP layers, plus training.
 
-The architecture is h1 graph-convolution layers over the mixed matrix
-followed by h2 perceptron layers. The final layer always applies
-softmax (when h2 = 0 the last GCN layer takes it); every earlier layer
-uses ReLU. Training is full-batch Adam with early stopping on
+A model is its mixed matrix, its list of weight matrices in forward
+order and its config. Layer k propagates over the mixed matrix iff
+k < h1; the others are per-node perceptron layers. The last layer
+applies softmax (when h2 = 0 the last GCN layer takes it) and every
+earlier one ReLU. Training is full-batch Adam with early stopping on
 validation loss and best-epoch weight restoration.
 """
 
@@ -19,7 +20,7 @@ import scipy.sparse as sp
 from .graph import Graph
 from .motifs import MixRecipe, mix_matrices
 from . import nn
-from .nn import LayerParams, OptimizerConfig
+from .nn import OptimizerConfig
 
 __all__ = [
     "ModelConfig",
@@ -33,10 +34,6 @@ __all__ = [
     "run_protocol",
     "grid_search",
 ]
-
-GCN = "gcn"
-MLP = "mlp"
-
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, epoch: int):
@@ -57,30 +54,22 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.h1 < 1:
-            raise ValueError("need at least one graph-convolution layer")
+            raise ValueError("h1 must be >= 1: need at least one graph-convolution layer")
         if self.h2 < 0:
             raise ValueError("h2 must be >= 0")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
-
-
-@dataclass
-class Layer:
-    params: LayerParams
-    role: str        # GCN or MLP
-    activation: str  # nn.RELU or nn.SOFTMAX
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if self.patience < 1:
+            raise ValueError("patience must be >= 1")
 
 
 @dataclass
 class Model:
     mixed_matrix: sp.csr_matrix
-    layers: list
+    weights: list  # float64 arrays in forward order; layer k < h1 is a GCN layer
     config: ModelConfig
-
-    def layer_dims(self):
-        return [self.layers[0].params.W.shape[0]] + [
-            l.params.W.shape[1] for l in self.layers
-        ]
 
 
 @dataclass
@@ -110,13 +99,8 @@ def build_model(config: ModelConfig, graph: Graph,
     n_layers = config.h1 + config.h2
     dims = [graph.feature_dim] + [config.hidden_dim] * (n_layers - 1) + [graph.n_classes]
     rng = np.random.default_rng(config.seed)
-    layers = []
-    for k in range(n_layers):
-        role = GCN if k < config.h1 else MLP
-        activation = nn.SOFTMAX if k == n_layers - 1 else nn.RELU
-        W = nn.glorot_init(dims[k], dims[k + 1], rng)
-        layers.append(Layer(LayerParams(W), role, activation))
-    return Model(mixed, layers, config)
+    weights = [nn.glorot_init(dims[k], dims[k + 1], rng) for k in range(n_layers)]
+    return Model(mixed, weights, config)
 
 
 def forward(model: Model, X, training: bool = False, rng=None,
@@ -134,14 +118,14 @@ def forward(model: Model, X, training: bool = False, rng=None,
         H = sp.csr_matrix(X, dtype=np.float64)
     else:
         H = np.asarray(X, dtype=np.float64)
+    h1, last = model.config.h1, len(model.weights) - 1
     tape = []
-    for layer in model.layers:
+    for k, W in enumerate(model.weights):
         Hin, mask = nn.dropout_forward(H, rate, rng, training)
-        if layer.role == GCN:
-            pre = nn.spmm(model.mixed_matrix, Hin @ layer.params.W)
-        else:
-            pre = Hin @ layer.params.W
-        H = nn._activate(pre, layer.activation)
+        pre = Hin @ W
+        if k < h1:
+            pre = nn.spmm(model.mixed_matrix, pre)
+        H = nn.softmax_rows(pre) if k == last else nn.relu(pre)
         tape.append((Hin, mask, pre, H))
     return (H, tape) if with_tape else H
 
@@ -152,9 +136,10 @@ def backward(model: Model, tape, labels: np.ndarray, train_idx: np.ndarray):
     The softmax output layer and the loss are fused: the pre-activation
     gradient on masked rows is (Z - onehot(y)) / |mask|. The gradient
     with respect to the network input is never needed, so the pass stops
-    at the first layer's weight gradient.
+    at the first layer's weight gradient. Every layer below the output
+    is ReLU.
     """
-    if len(tape) != len(model.layers):
+    if len(tape) != len(model.weights):
         raise ValueError("tape length does not match layer count")
     Z = tape[-1][3]
     n_mask = train_idx.size
@@ -163,30 +148,25 @@ def backward(model: Model, tape, labels: np.ndarray, train_idx: np.ndarray):
     d_pre[train_idx, labels[train_idx]] -= 1.0
     d_pre /= n_mask
 
-    grads = [None] * len(model.layers)
-    for k in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[k]
+    grads = [None] * len(model.weights)
+    for k in range(len(model.weights) - 1, -1, -1):
         Hin, mask, _, _ = tape[k]
         # pre = S (Hin W) with S symmetric, so dW = Hin^T (S dPre);
         # an MLP layer has pre = Hin W and dW = Hin^T dPre.
-        if layer.role == GCN:
+        if k < model.config.h1:
             d_hw = nn.spmm(model.mixed_matrix, d_pre)
         else:
             d_hw = d_pre
         grads[k] = Hin.T @ d_hw
         if k == 0:
             break
-        d_hin = d_hw @ layer.params.W.T
+        d_hin = d_hw @ model.weights[k].T
         if mask is not None:
             d_hin = d_hin * mask
-        prev_pre = tape[k - 1][2]
-        if model.layers[k - 1].activation == nn.RELU:
-            d_pre = d_hin * (prev_pre > 0)
-        else:
-            d_pre = d_hin
+        d_pre = d_hin * (tape[k - 1][2] > 0)
     wd = model.config.optimizer.weight_decay
     if wd:
-        grads[0] = grads[0] + wd * model.layers[0].params.W
+        grads[0] = grads[0] + wd * model.weights[0]
     return grads
 
 
@@ -195,7 +175,7 @@ def regularized_loss(model: Model, Z: np.ndarray, labels, mask_idx) -> float:
     loss = nn.cross_entropy_loss(Z, labels, mask_idx)
     wd = model.config.optimizer.weight_decay
     if wd:
-        loss += 0.5 * wd * float(np.sum(model.layers[0].params.W ** 2))
+        loss += 0.5 * wd * float(np.sum(model.weights[0] ** 2))
     return loss
 
 
@@ -204,9 +184,11 @@ def evaluate(model: Model, X, labels: np.ndarray, mask) -> float:
     idx = _as_index(mask)
     if idx.size == 0:
         raise ValueError("evaluate: empty mask")
-    Z = forward(model, X, training=False)
-    pred = Z[idx].argmax(axis=1)
-    return float(np.mean(pred == np.asarray(labels)[idx]))
+    return _accuracy(forward(model, X, training=False), labels, idx)
+
+
+def _accuracy(Z: np.ndarray, labels, idx: np.ndarray) -> float:
+    return float(np.mean(Z[idx].argmax(axis=1) == np.asarray(labels)[idx]))
 
 
 def _as_index(mask) -> np.ndarray:
@@ -222,23 +204,26 @@ def train(config: ModelConfig, dataset, splits,
 
     Deterministic given config.seed; one dropout RNG stream is drawn
     from the same seed as the weight init. Raises ValueError before the
-    first epoch when a split index lies outside [0, N).
+    first epoch when a split is empty or an index lies outside [0, N).
     """
     graph = dataset.graph
     t0 = time.perf_counter()
     train_idx = _as_index(splits.train)
     val_idx = _as_index(splits.validation)
     test_idx = _as_index(splits.test)
-    if train_idx.size == 0:
-        raise ValueError("train split is empty")
     for name, idx in (("train", train_idx), ("validation", val_idx), ("test", test_idx)):
-        if idx.size and (idx.min() < 0 or idx.max() >= graph.n_nodes):
+        if idx.size == 0:
+            raise ValueError(f"{name} split is empty")
+        if idx.min() < 0 or idx.max() >= graph.n_nodes:
             raise ValueError(f"{name} split index out of range [0, {graph.n_nodes})")
     model = build_model(config, graph, mixed=mixed)
     rng = np.random.default_rng((config.seed, 0xD0))  # dropout stream
     X = graph.features
     y = graph.labels
 
+    W = model.weights
+    m = [np.zeros_like(w) for w in W]  # Adam moment estimates
+    v = [np.zeros_like(w) for w in W]
     train_losses, val_losses, val_accs = [], [], []
     best_val = np.inf
     best_epoch = 0
@@ -249,26 +234,23 @@ def train(config: ModelConfig, dataset, splits,
         if not np.isfinite(loss):
             raise TrainingDiverged(epoch)
         grads = backward(model, tape, y, train_idx)
-        for layer, g in zip(model.layers, grads):
-            nn.adam_step(layer.params, g, config.optimizer, epoch)
+        for k, g in enumerate(grads):
+            W[k], m[k], v[k] = nn.adam_step(W[k], m[k], v[k], g, config.optimizer, epoch)
 
         Z_eval = forward(model, X, training=False)
         val_loss = nn.cross_entropy_loss(Z_eval, y, val_idx)
-        pred = Z_eval[val_idx].argmax(axis=1)
-        val_acc = float(np.mean(pred == y[val_idx]))
         train_losses.append(loss)
         val_losses.append(val_loss)
-        val_accs.append(val_acc)
+        val_accs.append(_accuracy(Z_eval, y, val_idx))
 
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_weights = [l.params.copy() for l in model.layers]
+            best_weights = [w.copy() for w in W]
         elif epoch - best_epoch >= config.patience:
             break
 
-    for layer, saved in zip(model.layers, best_weights):
-        layer.params = saved
+    model.weights = best_weights
     test_acc = evaluate(model, X, y, test_idx)
     report = TrainReport(
         train_losses=train_losses,
@@ -316,21 +298,21 @@ def grid_search(dataset, splits, ratio_grid, base_config: ModelConfig,
                 n_seeds: int = 5):
     """Pick the recipe with the best mean validation accuracy.
 
-    Scoring never touches the test split. Ties break toward the earlier
-    grid entry.
+    A run's score is the validation accuracy of its restored best-epoch
+    weights. Scoring never touches the test split. Ties break toward the
+    earlier grid entry.
     """
     if not ratio_grid:
         raise ValueError("ratio grid is empty")
     rows = []
-    X, y = dataset.graph.features, dataset.graph.labels
     for recipe in ratio_grid:
         cfg_r = replace(base_config, recipe=recipe)
         mixed = mix_matrices(recipe, dataset.graph)
         scores = []
         for s in range(n_seeds):
             cfg = replace(cfg_r, seed=base_config.seed + s)
-            model, _ = train(cfg, dataset, splits, mixed=mixed)
-            scores.append(evaluate(model, X, y, splits.validation))
+            _, report = train(cfg, dataset, splits, mixed=mixed)
+            scores.append(report.val_accuracies[report.best_epoch - 1])
         rows.append({"recipe": str(recipe), "val_accuracy_mean": float(np.mean(scores)),
                      "val_accuracies": scores})
     best_i = int(np.argmax([r["val_accuracy_mean"] for r in rows]))

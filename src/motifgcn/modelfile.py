@@ -34,15 +34,16 @@ class ModelFileError(RuntimeError):
 
 
 def save_model(model: Model, path, config_echo: dict | None = None) -> None:
+    last = len(model.weights) - 1
     header = {
         "config": config_echo or {},
         "layers": [
             {
-                "role": layer.role,
-                "activation": layer.activation,
-                "shape": list(layer.params.W.shape),
+                "role": "gcn" if k < model.config.h1 else "mlp",
+                "activation": "softmax" if k == last else "relu",
+                "shape": list(W.shape),
             }
-            for layer in model.layers
+            for k, W in enumerate(model.weights)
         ],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -51,8 +52,8 @@ def save_model(model: Model, path, config_echo: dict | None = None) -> None:
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for layer in model.layers:
-            fh.write(np.ascontiguousarray(layer.params.W, dtype="<f8").tobytes())
+        for W in model.weights:
+            fh.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
 
 
 def load_model(path):

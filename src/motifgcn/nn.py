@@ -3,20 +3,18 @@
 Everything operates on float64 numpy arrays, except that the network
 input may be a scipy CSR matrix (sparse bag-of-words features). There
 are no bias terms anywhere. The model module assembles these into
-layers computing activation(S @ H @ W) or activation(H @ W), and into
-the full forward/backward pass.
+layers computing relu or softmax of S @ H @ W or H @ W, and into the
+full forward/backward pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "Activation",
-    "LayerParams",
     "OptimizerConfig",
     "glorot_init",
     "spmm",
@@ -27,34 +25,7 @@ __all__ = [
     "dropout_forward",
 ]
 
-RELU = "relu"
-SOFTMAX = "softmax"
-NONE = "none"
-
-Activation = str  # one of RELU / SOFTMAX / NONE
-
 PROB_FLOOR = 1e-12
-
-
-@dataclass
-class LayerParams:
-    """Weight matrix of one layer plus its Adam moment estimates."""
-
-    W: np.ndarray
-    adam_m: np.ndarray = field(default=None)
-    adam_v: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        if self.adam_m is None:
-            self.adam_m = np.zeros_like(self.W)
-        if self.adam_v is None:
-            self.adam_v = np.zeros_like(self.W)
-        if self.adam_m.shape != self.W.shape or self.adam_v.shape != self.W.shape:
-            raise ValueError("optimizer state shape must match W")
-
-    def copy(self) -> "LayerParams":
-        return LayerParams(self.W.copy(), self.adam_m.copy(), self.adam_v.copy())
 
 
 @dataclass(frozen=True)
@@ -69,8 +40,10 @@ class OptimizerConfig:
     dropout_rate: float = 0.5
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be >= 0 and finite")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError("dropout_rate must be in [0, 1)")
 
@@ -103,16 +76,6 @@ def softmax_rows(X: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _activate(pre: np.ndarray, activation: Activation) -> np.ndarray:
-    if activation == RELU:
-        return relu(pre)
-    if activation == SOFTMAX:
-        return softmax_rows(pre)
-    if activation == NONE:
-        return pre
-    raise ValueError(f"unknown activation {activation!r}")
-
-
 def cross_entropy_loss(Z: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     """Mean categorical cross-entropy -log Z[v, y_v] over the masked rows."""
     mask = np.asarray(mask)
@@ -126,17 +89,19 @@ def cross_entropy_loss(Z: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> f
     return float(-np.mean(np.log(p)))
 
 
-def adam_step(params: LayerParams, grad: np.ndarray, config: OptimizerConfig,
-              t: int) -> None:
-    """In-place Adam update with bias correction; t is 1-based."""
+def adam_step(W: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarray,
+              config: OptimizerConfig, t: int):
+    """Adam update with bias correction; t is 1-based. m and v are the
+    moment estimates, zero before step 1. Returns the new (W, m, v)."""
     if t < 1:
         raise ValueError("Adam step index must be >= 1")
     b1, b2 = config.beta1, config.beta2
-    params.adam_m = b1 * params.adam_m + (1 - b1) * grad
-    params.adam_v = b2 * params.adam_v + (1 - b2) * grad * grad
-    m_hat = params.adam_m / (1 - b1 ** t)
-    v_hat = params.adam_v / (1 - b2 ** t)
-    params.W = params.W - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    m = b1 * m + (1 - b1) * grad
+    v = b2 * v + (1 - b2) * grad * grad
+    m_hat = m / (1 - b1 ** t)
+    v_hat = v / (1 - b2 ** t)
+    W = W - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    return W, m, v
 
 
 def dropout_forward(H, rate: float, rng, training: bool):

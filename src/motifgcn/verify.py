@@ -86,8 +86,7 @@ def gradient_check(h1: int, h2: int, graph: Graph | None = None,
         grads[0] = grads[0] + 1e-3  # negative-control hook
 
     worst = 0.0
-    for layer, g in zip(model.layers, grads):
-        W = layer.params.W
+    for W, g in zip(model.weights, grads):
         it = np.nditer(W, flags=["multi_index"])
         for _ in it:
             ij = it.multi_index

@@ -14,6 +14,15 @@ REPO = Path(__file__).resolve().parent.parent
 FIXTURE_CONF = str(REPO / "configs" / "fixture.conf")
 
 
+def fixture_conf_with(tmp_path, *lines):
+    """A copy of configs/fixture.conf with lines appended; for a key set
+    twice, the later line wins."""
+    conf = tmp_path / "extra.conf"
+    text = Path(FIXTURE_CONF).read_text().replace("../", f"{REPO}/")
+    conf.write_text(text + "".join(line + "\n" for line in lines))
+    return str(conf)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -74,8 +83,17 @@ def test_train_saves_model_container(tmp_path):
                  "--model-out", str(model_path), "--out", str(out)]) == 0
     header, weights = load_model(model_path)
     assert [s["shape"] for s in header["layers"]] == [[5, 16], [16, 16], [16, 2]]
+    assert [s["role"] for s in header["layers"]] == ["gcn", "gcn", "mlp"]
+    assert [s["activation"] for s in header["layers"]] == ["relu", "relu", "softmax"]
     assert header["config"]["recipe"] == "edge:8,triangle:1,wedge:2"
     assert all(w.dtype == "float64" for w in weights)
+
+    conf = fixture_conf_with(tmp_path, "h1 = 1", "h2 = 0")
+    assert main(["train", "--config", conf,
+                 "--model-out", str(model_path), "--out", str(out)]) == 0
+    header, _ = load_model(model_path)
+    assert [(s["role"], s["activation"], s["shape"]) for s in header["layers"]] == [
+        ("gcn", "softmax", [5, 2])]
 
 
 def test_bad_config_key_exits_2(tmp_path, capsys):
@@ -85,6 +103,23 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "no_such_option" in err
+
+
+BAD_CONFIG_LINES = [
+    "h1 = 0", "h2 = -1", "hidden_dim = 0", "max_epochs = 0", "patience = 0",
+    "runs = 0", "threads = 0", "learning_rate = 0", "learning_rate = nan",
+    "dropout = 1.0", "weight_decay = -1", "val_fraction = -0.1",
+    "val_fraction = 0", "per_class_train = 0",
+]
+
+
+@pytest.mark.parametrize("line", BAD_CONFIG_LINES)
+def test_bad_config_value_exits_2(tmp_path, capsys, line):
+    code = main(["train", "--config", fixture_conf_with(tmp_path, line)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "configuration error" in captured.err
 
 
 def test_bad_dataset_spec_exits_2(capsys):

@@ -46,19 +46,16 @@ def labeled_graph(rng, n=14):
 
 # ------------------------------------------------------------------- build
 
-def test_build_model_layer_dims(rng):
+def test_build_model_weight_shapes(rng):
     g = labeled_graph(rng)
     m = build_model(ModelConfig(h1=2, h2=1, hidden_dim=16, recipe=MIXED), g)
-    assert m.layer_dims() == [6, 16, 16, 3]
-    assert [l.role for l in m.layers] == ["gcn", "gcn", "mlp"]
-    assert [l.activation for l in m.layers] == ["relu", "relu", "softmax"]
+    assert [W.shape for W in m.weights] == [(6, 16), (16, 16), (16, 3)]
 
 
 def test_build_model_single_layer(rng):
     g = labeled_graph(rng)
     m = build_model(ModelConfig(h1=1, h2=0, recipe=EDGE_ONLY), g)
-    assert m.layer_dims() == [6, 3]
-    assert m.layers[0].activation == "softmax"
+    assert [W.shape for W in m.weights] == [(6, 3)]
 
 
 def test_build_model_seed_determinism(rng):
@@ -66,8 +63,8 @@ def test_build_model_seed_determinism(rng):
     cfg = ModelConfig(h1=2, h2=1, recipe=MIXED, seed=11)
     a = build_model(cfg, g)
     b = build_model(cfg, g)
-    for la, lb in zip(a.layers, b.layers):
-        assert np.array_equal(la.params.W, lb.params.W)
+    for Wa, Wb in zip(a.weights, b.weights):
+        assert np.array_equal(Wa, Wb)
 
 
 def test_config_validation():
@@ -77,6 +74,12 @@ def test_config_validation():
         ModelConfig(h2=-1)
     with pytest.raises(ValueError):
         ModelConfig(hidden_dim=0)
+    with pytest.raises(ValueError):
+        ModelConfig(max_epochs=0)
+    with pytest.raises(ValueError):
+        ModelConfig(patience=0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(weight_decay=-1)
 
 
 # ----------------------------------------------------------------- forward
@@ -100,7 +103,7 @@ def test_forward_equals_two_layer_gcn_formula(rng):
         cfg = ModelConfig(h1=h1, h2=h2, hidden_dim=8, recipe=EDGE_ONLY, seed=4,
                           optimizer=OptimizerConfig(dropout_rate=0.0))
         m = build_model(cfg, g)
-        W0, W1 = (l.params.W for l in m.layers)
+        W0, W1 = m.weights
         pre = np.maximum(A_hat @ g.features @ W0, 0.0) @ W1
         if h1 == 2:
             pre = A_hat @ pre
@@ -122,8 +125,7 @@ def test_forward_permutation_equivariance(rng):
     pg = Graph(g.n_nodes, pedges, features=g.features[perm],
                labels=g.labels[perm], n_classes=g.n_classes)
     pm = build_model(cfg, pg)
-    for layer, player in zip(m.layers, pm.layers):
-        player.params.W = layer.params.W.copy()
+    pm.weights = [W.copy() for W in m.weights]
     assert np.allclose(forward(pm, pg.features), Z[perm], atol=1e-10)
 
 
@@ -143,8 +145,7 @@ def test_loss_permutation_invariance(rng):
                features=g.features[perm], labels=g.labels[perm],
                n_classes=g.n_classes)
     pm = build_model(cfg, pg)
-    for layer, player in zip(m.layers, pm.layers):
-        player.params.W = layer.params.W.copy()
+    pm.weights = [W.copy() for W in m.weights]
     ploss = regularized_loss(pm, forward(pm, pg.features), pg.labels, inv[mask])
     assert ploss == pytest.approx(loss, abs=1e-10)
 
@@ -195,6 +196,9 @@ def test_early_stopping_restores_best_epoch(small_dataset, small_splits):
     Z = forward(model, small_dataset.graph.features)
     val = small_splits.validation
     assert _nn.cross_entropy_loss(Z, small_dataset.graph.labels, val) == pytest.approx(best, abs=1e-12)
+    # grid_search scores a run by this recorded accuracy
+    assert evaluate(model, small_dataset.graph.features, small_dataset.graph.labels,
+                    val) == report.val_accuracies[report.best_epoch - 1]
 
 
 def test_train_divergence_reports_epoch(small_dataset, small_splits):
@@ -206,18 +210,30 @@ def test_train_divergence_reports_epoch(small_dataset, small_splits):
         train(cfg, small_dataset, small_splits)
 
 
-@pytest.mark.parametrize("split", ["train", "validation", "test"])
+SPLIT_FAULTS = [(split, fault) for fault in ("out of range", "empty")
+                for split in ("train", "validation", "test")]
+
+
+@pytest.mark.parametrize(
+    "split, fault", SPLIT_FAULTS,
+    ids=[split if fault == "out of range" else f"{split}-empty"
+         for split, fault in SPLIT_FAULTS])
 def test_train_rejects_out_of_range_split_index(small_dataset, small_splits,
-                                                monkeypatch, split):
+                                                monkeypatch, split, fault):
     n = small_dataset.graph.n_nodes
-    bad = dataclasses.replace(
-        small_splits, **{split: np.append(getattr(small_splits, split), n + 3)})
+    if fault == "empty":
+        bad_idx, message = np.array([], dtype=np.int64), f"{split} split is empty"
+    else:
+        bad_idx = np.append(getattr(small_splits, split), n + 3)
+        message = f"{split} split index out of range"
 
     def no_epochs(*args, **kwargs):
         raise AssertionError("an epoch ran before the split was checked")
 
     monkeypatch.setattr(model_module, "forward", no_epochs)
-    with pytest.raises(ValueError, match=f"{split} split index out of range"):
+    # Splits itself rejects an empty train split
+    with pytest.raises(ValueError, match=message):
+        bad = dataclasses.replace(small_splits, **{split: bad_idx})
         train(ModelConfig(h1=1, h2=0, recipe=EDGE_ONLY), small_dataset, bad)
 
 
