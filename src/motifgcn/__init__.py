@@ -3,9 +3,7 @@
 from .graph import Graph, build_adjacency, degree, max_degree
 from .motifs import (
     MixRecipe,
-    MotifSpec,
     clustering_coefficient,
-    enumerate_motif_instances,
     mix_matrices,
     motif_matrix_oracle,
     normalize_symmetric,

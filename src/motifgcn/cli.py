@@ -192,8 +192,7 @@ def cmd_gradcheck(cfg: RunConfig, args) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig, args) -> int:
-    report = oracle_check(n_graphs=args.graphs, max_n=args.max_n,
-                          seed=cfg.seed, semantics=cfg.semantics)
+    report = oracle_check(n_graphs=args.graphs, max_n=args.max_n, seed=cfg.seed)
     report["command"] = "oracle-check"
     _emit(report, cfg.out)
     return 0 if report["passed"] else 1
@@ -242,18 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help=argparse.SUPPRESS)  # negative-control test hook
     p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("oracle-check", help="kernels vs brute-force enumeration")
+    p = sub.add_parser("oracle-check", help="kernels vs the brute-force oracle")
     common(p)
     p.add_argument("--graphs", type=int, default=50)
     p.add_argument("--max-n", type=int, default=25)
-    p.add_argument("--semantics", choices=["co_occurrence", "edge_in_instance"])
     p.set_defaults(fn=cmd_oracle_check)
 
     return parser
 
 
-OVERRIDE_KEYS = ("dataset", "data_root", "recipe", "runs", "seed", "threads",
-                 "out", "semantics")
+OVERRIDE_KEYS = ("dataset", "data_root", "recipe", "runs", "seed", "threads", "out")
 
 
 def main(argv=None) -> int:

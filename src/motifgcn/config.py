@@ -62,7 +62,6 @@ class RunConfig:
     allow_small_classes: bool = False
     label_rule: str = "lowest"
     normalize_features: str = "auto"  # auto / true / false
-    semantics: str = "co_occurrence"
     out: str = ""
 
     _config_dir: Path = field(default_factory=Path, repr=False)
@@ -110,8 +109,13 @@ class RunConfig:
     def validate(self) -> None:
         if self.dataset and self.dataset_kind() not in ("planetoid", "ego", "generic"):
             raise ConfigError(f"unknown dataset spec {self.dataset!r}")
-        if self.semantics not in ("co_occurrence", "edge_in_instance"):
-            raise ConfigError(f"unknown semantics {self.semantics!r}")
+        if self.dataset_kind() == "planetoid":
+            for name in ("per_class_train", "val_fraction", "test_fraction",
+                         "allow_small_classes"):
+                # A dataclass keeps each field's default as a class attribute.
+                if getattr(self, name) != getattr(RunConfig, name):
+                    raise ConfigError(f"{name} does not apply to planetoid datasets, "
+                                      "which always use the published split")
         if self.normalize_features not in ("auto", "true", "false"):
             raise ConfigError("normalize_features must be auto/true/false")
         if self.label_rule not in ("lowest", "largest"):

@@ -27,6 +27,7 @@ __all__ = ["save_model", "load_model", "ModelFileError"]
 
 MAGIC = b"MGCNMODL"
 VERSION = 1
+_PREFIX = struct.Struct("<8sIQ")  # magic, version, header length
 
 
 class ModelFileError(RuntimeError):
@@ -48,31 +49,45 @@ def save_model(model: Model, path, config_echo: dict | None = None) -> None:
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(_PREFIX.pack(MAGIC, VERSION, len(blob)))
         fh.write(blob)
         for W in model.weights:
             fh.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
 
 
 def load_model(path):
-    """Read a container; returns (header dict, list of weight arrays)."""
+    """Read a container; returns (header dict, list of weight arrays).
+
+    Raises ModelFileError for any container that does not match the
+    layout above exactly.
+    """
     with open(path, "rb") as fh:
-        if fh.read(8) != MAGIC:
-            raise ModelFileError(f"{path}: not a model container")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != VERSION:
-            raise ModelFileError(f"{path}: unsupported version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        weights = []
-        for spec in header["layers"]:
-            rows, cols = spec["shape"]
-            raw = fh.read(rows * cols * 8)
-            if len(raw) != rows * cols * 8:
-                raise ModelFileError(f"{path}: truncated weight payload")
-            weights.append(np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy())
-        if fh.read(1):
-            raise ModelFileError(f"{path}: trailing bytes after payload")
+        blob = fh.read()
+    if blob[:8] != MAGIC:
+        raise ModelFileError(f"{path}: not a model container")
+    if len(blob) < _PREFIX.size:
+        raise ModelFileError(f"{path}: truncated fixed header")
+    _, version, hlen = _PREFIX.unpack_from(blob)
+    if version != VERSION:
+        raise ModelFileError(f"{path}: unsupported version {version}")
+    offset = _PREFIX.size + hlen
+    if len(blob) < offset:
+        raise ModelFileError(f"{path}: header shorter than its declared {hlen} bytes")
+    try:
+        header = json.loads(blob[_PREFIX.size:offset].decode("utf-8"))
+        shapes = [tuple(spec["shape"]) for spec in header["layers"]]
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise ModelFileError(f"{path}: malformed header: {exc}") from exc
+    weights = []
+    for shape in shapes:
+        if len(shape) != 2 or not all(type(n) is int and n >= 0 for n in shape):
+            raise ModelFileError(f"{path}: bad layer shape {list(shape)}")
+        count = shape[0] * shape[1]
+        if len(blob) < offset + 8 * count:
+            raise ModelFileError(f"{path}: truncated weight payload")
+        weights.append(np.frombuffer(blob, dtype="<f8", count=count,
+                                     offset=offset).reshape(shape).copy())
+        offset += 8 * count
+    if len(blob) != offset:
+        raise ModelFileError(f"{path}: trailing bytes after payload")
     return header, weights

@@ -1,17 +1,14 @@
 """Motif adjacency matrices, normalization, mixing, and clustering coefficient.
 
-Two routes exist for building motif matrices:
-
-* optimized sparse kernels for the triangle and wedge motifs, and
-* a brute-force enumerator usable for any small connected pattern,
-  which serves as the ground-truth oracle for the kernels.
+The triangle and wedge motif matrices are built by closed-form sparse
+kernels; ``motif_matrix_oracle`` recomputes them by scanning every node
+triple and serves as their ground truth on small graphs.
 
 Matrix entries use co-occurrence semantics: entry (u, v) counts motif
 instances whose node set contains both u and v, and the diagonal entry
 (v, v) counts the instances containing v (extended-diagonal convention).
-The enumeration oracle can alternatively count only instances in which
-(u, v) is one of the instance edges (``edge_in_instance`` semantics);
-for triangles the two coincide, for wedges they differ on leaf pairs.
+It was chosen over counting only instances in which (u, v) is an edge so
+that a wedge also links its two leaves; for triangles the two coincide.
 """
 
 from __future__ import annotations
@@ -24,18 +21,14 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, build_adjacency, check_symmetric, freeze_csr, max_degree
+from .graph import Graph, build_adjacency, check_symmetric, freeze_csr
 
 __all__ = [
-    "MotifKind",
-    "MotifSpec",
-    "MotifInstance",
     "MatrixSource",
     "MixRecipe",
     "MotifError",
     "triangle_motif_matrix",
     "wedge_motif_matrix",
-    "enumerate_motif_instances",
     "motif_matrix_oracle",
     "normalize_symmetric",
     "mix_matrices",
@@ -46,80 +39,23 @@ __all__ = [
 
 DEFAULT_ORACLE_CAP = 200
 
-CO_OCCURRENCE = "co_occurrence"
-EDGE_IN_INSTANCE = "edge_in_instance"
-
 
 class MotifError(ValueError):
     pass
 
 
-class MotifKind(Enum):
+class MatrixSource(Enum):
+    EDGE = "edge"
     TRIANGLE = "triangle"
     WEDGE = "wedge"
-    GENERIC = "generic"
 
 
-@dataclass(frozen=True)
-class MotifSpec:
-    """A motif pattern: node count, edge set over pattern nodes, central node.
-
-    TRIANGLE and WEDGE carry their canonical patterns so the brute-force
-    enumerator can handle them uniformly with GENERIC specs.
-    """
-
-    kind: MotifKind
-    pattern_nodes: int
-    pattern_edges: tuple
-    central: int
-
-    def __post_init__(self):
-        if not 2 <= self.pattern_nodes <= 5:
-            raise MotifError("pattern must have 2-5 nodes")
-        if not 0 <= self.central < self.pattern_nodes:
-            raise MotifError("central node outside pattern")
-        edges = set()
-        for a, b in self.pattern_edges:
-            if a == b or not (0 <= a < self.pattern_nodes and 0 <= b < self.pattern_nodes):
-                raise MotifError("bad pattern edge")
-            edges.add((min(a, b), max(a, b)))
-        object.__setattr__(self, "pattern_edges", tuple(sorted(edges)))
-        if not self._connected():
-            raise MotifError("pattern must be connected")
-
-    def _connected(self) -> bool:
-        adj = {i: set() for i in range(self.pattern_nodes)}
-        for a, b in self.pattern_edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen, stack = {0}, [0]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.pattern_nodes
-
-    @classmethod
-    def triangle(cls) -> "MotifSpec":
-        return cls(MotifKind.TRIANGLE, 3, ((0, 1), (0, 2), (1, 2)), 0)
-
-    @classmethod
-    def wedge(cls) -> "MotifSpec":
-        # Central node 0 is the wedge center.
-        return cls(MotifKind.WEDGE, 3, ((0, 1), (0, 2)), 0)
-
-    @classmethod
-    def generic(cls, n_nodes, edges, central=0) -> "MotifSpec":
-        return cls(MotifKind.GENERIC, n_nodes, tuple(edges), central)
-
-
-@dataclass(frozen=True)
-class MotifInstance:
-    """One motif occurrence: its node set and the edges realizing the pattern."""
-
-    node_set: frozenset
-    edge_set: frozenset
+# Motif instances held by a node triple, keyed by how many of its three
+# pairs are edges: a closed triple is 1 triangle and 3 wedges.
+_INSTANCES_PER_TRIPLE = {
+    MatrixSource.TRIANGLE: {3: 1},
+    MatrixSource.WEDGE: {3: 3, 2: 1},
+}
 
 
 def _check_binary_adjacency(A: sp.csr_matrix) -> None:
@@ -161,78 +97,29 @@ def wedge_motif_matrix(A: sp.csr_matrix) -> sp.csr_matrix:
     return freeze_csr(adjacent_part + paths + sp.diags(diag))
 
 
-def _connected_subsets(graph: Graph, k: int):
-    """Yield every connected node subset of size k exactly once (ESU)."""
-    neigh = [set(graph.neighbors(v).tolist()) for v in range(graph.n_nodes)]
+def motif_matrix_oracle(graph: Graph, motif) -> np.ndarray:
+    """Dense triangle or wedge motif matrix by brute force (ground truth
+    for the kernels).
 
-    def extend(sub, ext, root, closed):
-        if len(sub) == k:
-            yield tuple(sorted(sub))
-            return
-        ext = set(ext)
-        while ext:
-            w = ext.pop()
-            grown = ext | {u for u in neigh[w] if u > root and u not in closed}
-            yield from extend(sub | {w}, grown, root, closed | neigh[w])
-
-    for v in range(graph.n_nodes):
-        seed_ext = {u for u in neigh[v] if u > v}
-        yield from extend({v}, seed_ext, v, neigh[v] | {v})
-
-
-def enumerate_motif_instances(graph: Graph, spec: MotifSpec, oracle_cap=DEFAULT_ORACLE_CAP):
-    """All distinct motif instances in the graph.
-
-    Distinctness is by the (node set, edge set) pair, so pattern
-    automorphisms do not inflate counts: K3 holds one triangle instance
-    and three wedge instances.
+    Scans every node triple; each motif instance it holds adds 1 to the
+    diagonal entries of its three nodes and to both entries of its three
+    node pairs.
     """
-    if graph.n_nodes > oracle_cap:
+    instances = _INSTANCES_PER_TRIPLE.get(MatrixSource(motif))
+    if instances is None:
+        raise MotifError(f"no motif oracle for {motif!r}; use 'triangle' or 'wedge'")
+    if graph.n_nodes > DEFAULT_ORACLE_CAP:
         raise MotifError(
             f"graph has {graph.n_nodes} nodes, above the brute-force cap of "
-            f"{oracle_cap}; use the optimized triangle/wedge kernels instead"
+            f"{DEFAULT_ORACLE_CAP}; use the optimized triangle/wedge kernels instead"
         )
-    edge_lookup = {(int(a), int(b)) for a, b in graph.edges}
-    pattern_ids = list(range(spec.pattern_nodes))
-    instances = []
-    for subset in _connected_subsets(graph, spec.pattern_nodes):
-        edge_sets = set()
-        for perm in itertools.permutations(subset):
-            # perm[i] is the host node playing pattern role i
-            mapped = []
-            ok = True
-            for a, b in spec.pattern_edges:
-                e = (min(perm[a], perm[b]), max(perm[a], perm[b]))
-                if e not in edge_lookup:
-                    ok = False
-                    break
-                mapped.append(e)
-            if ok:
-                edge_sets.add(frozenset(mapped))
-        for es in sorted(edge_sets, key=sorted):
-            instances.append(MotifInstance(frozenset(subset), es))
-    return instances
-
-
-def motif_matrix_oracle(graph: Graph, spec: MotifSpec, semantics=CO_OCCURRENCE,
-                        oracle_cap=DEFAULT_ORACLE_CAP) -> np.ndarray:
-    """Dense motif matrix by explicit enumeration (ground truth for kernels)."""
-    if semantics not in (CO_OCCURRENCE, EDGE_IN_INSTANCE):
-        raise MotifError(f"unknown semantics {semantics!r}")
-    n = graph.n_nodes
-    out = np.zeros((n, n))
-    for inst in enumerate_motif_instances(graph, spec, oracle_cap):
-        nodes = sorted(inst.node_set)
-        for v in nodes:
-            out[v, v] += 1
-        if semantics == CO_OCCURRENCE:
-            for u, v in itertools.combinations(nodes, 2):
-                out[u, v] += 1
-                out[v, u] += 1
-        else:
-            for u, v in inst.edge_set:
-                out[u, v] += 1
-                out[v, u] += 1
+    edges = {(int(a), int(b)) for a, b in graph.edges}
+    out = np.zeros((graph.n_nodes, graph.n_nodes))
+    for triple in itertools.combinations(range(graph.n_nodes), 3):
+        n_edges = sum(pair in edges for pair in itertools.combinations(triple, 2))
+        count = instances.get(n_edges)
+        if count:
+            out[np.ix_(triple, triple)] += count
     return out
 
 
@@ -255,12 +142,6 @@ def normalize_symmetric(M: sp.csr_matrix, add_self_loops: bool) -> sp.csr_matrix
     return freeze_csr(D @ S @ D)
 
 
-class MatrixSource(Enum):
-    EDGE = "edge"
-    TRIANGLE = "triangle"
-    WEDGE = "wedge"
-
-
 @dataclass(frozen=True)
 class MixRecipe:
     """Weighted combination of the edge matrix and motif matrices."""
@@ -271,8 +152,8 @@ class MixRecipe:
         comps = tuple((MatrixSource(src), float(w)) for src, w in self.components)
         if not comps:
             raise MotifError("recipe needs at least one component")
-        if any(w < 0 for _, w in comps):
-            raise MotifError("recipe weights must be nonnegative")
+        if not all(0 <= w < np.inf for _, w in comps):
+            raise MotifError("recipe weights must be finite and nonnegative")
         if all(w == 0 for _, w in comps):
             raise MotifError("recipe weights must not all be zero")
         object.__setattr__(self, "components", comps)
@@ -293,7 +174,14 @@ class MixRecipe:
         return cls(tuple(comps))
 
     def __str__(self) -> str:
-        return ",".join(f"{src.value}:{w:g}" for src, w in self.components)
+        return ",".join(f"{src.value}:{_format_weight(w)}" for src, w in self.components)
+
+
+def _format_weight(w: float) -> str:
+    # The short %g form wherever it is exact, else repr, which always
+    # parses back to the same float.
+    short = f"{w:g}"
+    return short if float(short) == w else repr(w)
 
 
 def _component_matrix(source: MatrixSource, A: sp.csr_matrix) -> sp.csr_matrix:

@@ -1,22 +1,12 @@
 """Verification oracles: finite-difference gradient checks and
-kernel-vs-enumeration motif matrix checks."""
+kernel-vs-brute-force motif matrix checks."""
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
 from .graph import Graph, build_adjacency
-from .motifs import (
-    CO_OCCURRENCE,
-    EDGE_IN_INSTANCE,
-    MixRecipe,
-    MotifSpec,
-    motif_matrix_oracle,
-    triangle_motif_matrix,
-    wedge_motif_matrix,
-)
+from .motifs import MixRecipe, motif_matrix_oracle, triangle_motif_matrix, wedge_motif_matrix
 from .model import ModelConfig, backward, build_model, forward, regularized_loss
 from .nn import OptimizerConfig
 
@@ -74,8 +64,6 @@ def gradient_check(h1: int, h2: int, graph: Graph | None = None,
         h1=h1, h2=h2, hidden_dim=5, recipe=recipe, seed=3,
         optimizer=OptimizerConfig(dropout_rate=0.0, weight_decay=5e-4),
     )
-    if config.optimizer.dropout_rate != 0:
-        raise ValueError("gradient check requires dropout disabled")
     model = build_model(config, graph)
     X, y = graph.features, graph.labels
     train_idx = np.arange(0, graph.n_nodes, 2)
@@ -102,51 +90,29 @@ def gradient_check(h1: int, h2: int, graph: Graph | None = None,
     return worst
 
 
-def oracle_check(n_graphs: int = 50, max_n: int = 25, seed: int = 1,
-                 semantics: str = CO_OCCURRENCE) -> dict:
-    """Compare the triangle/wedge kernels against brute-force enumeration.
-
-    Under the literal edge-in-instance semantics the wedge kernel is
-    intentionally divergent on non-adjacent leaf pairs; the triangle
-    kernel must agree under both readings.
-    """
+def oracle_check(n_graphs: int = 50, max_n: int = 25, seed: int = 1) -> dict:
+    """Compare the triangle/wedge kernels against the brute-force oracle."""
     if max_n > 30:
         raise ValueError("oracle check is capped at max_n <= 30")
     rng = np.random.default_rng(seed)
     mismatches = []
-    wedge_divergent = 0
     for k in range(n_graphs):
         n = int(rng.integers(5, max_n + 1))
         p = float(rng.uniform(0.1, 0.5))
         g = random_graph(rng, n, p)
         A = build_adjacency(g)
-        tri_kernel = triangle_motif_matrix(A).toarray()
-        tri_oracle = motif_matrix_oracle(g, MotifSpec.triangle(), semantics)
-        if not np.array_equal(tri_kernel, tri_oracle):
-            mismatches.append({"graph": k, "motif": "triangle",
-                               "coords": _first_mismatch(tri_kernel, tri_oracle)})
-        wedge_kernel = wedge_motif_matrix(A).toarray()
-        wedge_oracle = motif_matrix_oracle(g, MotifSpec.wedge(), semantics)
-        if not np.array_equal(wedge_kernel, wedge_oracle):
-            if semantics == EDGE_IN_INSTANCE:
-                # Co-occurrence kernel vs literal oracle: expected to differ.
-                wedge_divergent += 1
-            else:
-                mismatches.append({"graph": k, "motif": "wedge",
-                                   "coords": _first_mismatch(wedge_kernel, wedge_oracle)})
-    report = {
+        for motif, kernel in (("triangle", triangle_motif_matrix),
+                              ("wedge", wedge_motif_matrix)):
+            fast = kernel(A).toarray()
+            slow = motif_matrix_oracle(g, motif)
+            if not np.array_equal(fast, slow):
+                mismatches.append({"graph": k, "motif": motif,
+                                   "coords": _first_mismatch(fast, slow)})
+    return {
         "graphs_checked": n_graphs,
-        "semantics": semantics,
         "mismatches": mismatches,
         "passed": not mismatches,
     }
-    if semantics == EDGE_IN_INSTANCE:
-        report["wedge_note"] = (
-            "wedge kernel counts co-occurrence; under the literal "
-            "edge-in-instance reading it is intentionally divergent on "
-            f"{wedge_divergent} of {n_graphs} graphs"
-        )
-    return report
 
 
 def _first_mismatch(a: np.ndarray, b: np.ndarray):

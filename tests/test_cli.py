@@ -122,6 +122,30 @@ def test_bad_config_value_exits_2(tmp_path, capsys, line):
     assert "configuration error" in captured.err
 
 
+@pytest.mark.parametrize("line", ["per_class_train = 5", "val_fraction = 0.2",
+                                  "test_fraction = 0.4", "allow_small_classes = true"])
+def test_planetoid_rejects_split_keys(tmp_path, capsys, line):
+    # Planetoid datasets always use the published split, so a split key
+    # would be silently ignored; it is rejected before any file is read.
+    conf = tmp_path / "planetoid.conf"
+    conf.write_text(f"dataset = planetoid:cora\n{line}\n")
+    code = main(["train", "--config", str(conf), "--data-root", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert line.split()[0] in err
+
+
+def test_planetoid_split_keys_default_and_override(tmp_path, capsys):
+    conf = tmp_path / "planetoid.conf"
+    conf.write_text("dataset = planetoid:cora\nper_class_train = 20\n")
+    # passes validation, then finds no dataset files
+    assert main(["train", "--config", str(conf), "--data-root", str(tmp_path)]) == 1
+    # a split key from the config file also counts under a --dataset override
+    assert main(["motif-stats", "--config", FIXTURE_CONF,
+                 "--dataset", "planetoid:cora", "--data-root", str(tmp_path)]) == 2
+    assert "per_class_train" in capsys.readouterr().err
+
+
 def test_bad_dataset_spec_exits_2(capsys):
     code = main(["motif-stats", "--dataset", "imagenet:cat"])
     assert code == 2
@@ -177,13 +201,6 @@ def test_oracle_check(capsys):
     assert code == 0
     assert payload["passed"] is True
     assert payload["mismatches"] == []
-
-
-def test_oracle_check_literal_semantics(capsys):
-    code, payload = run(capsys, "oracle-check", "--graphs", "3", "--max-n", "10",
-                        "--semantics", "edge_in_instance")
-    assert code == 0
-    assert "intentionally divergent" in payload["wedge_note"]
 
 
 def test_grid_search(tmp_path, capsys):
