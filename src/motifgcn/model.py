@@ -1,7 +1,7 @@
 """End-to-end model: motif-GCN layers feeding MLP layers, plus training.
 
-A model is its mixed matrix, its list of weight matrices in forward
-order and its config. Layer k propagates over the mixed matrix iff
+A model is its mixed operator, its list of weight matrices in forward
+order and its config. Layer k propagates over the mixed operator iff
 k < h1; the others are per-node perceptron layers. The last layer
 applies softmax (when h2 = 0 the last GCN layer takes it) and every
 earlier one ReLU. Training is full-batch Adam with early stopping on
@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph
-from .motifs import MixRecipe, mix_matrices
+from .motifs import MixedOperator, MixRecipe, mix_matrices
 from . import nn
 from .nn import OptimizerConfig
 
@@ -67,7 +67,7 @@ class ModelConfig:
 
 @dataclass
 class Model:
-    mixed_matrix: sp.csr_matrix
+    mixed_matrix: MixedOperator  # read-only, so runs on threads share it
     weights: list  # float64 arrays in forward order; layer k < h1 is a GCN layer
     config: ModelConfig
 
@@ -84,11 +84,11 @@ class TrainReport:
 
 
 def build_model(config: ModelConfig, graph: Graph,
-                mixed: sp.csr_matrix | None = None) -> Model:
-    """Assemble mixed matrix and Glorot-initialized layers.
+                mixed: MixedOperator | None = None) -> Model:
+    """Assemble the mixed operator and Glorot-initialized layers.
 
     Layer widths run feature_dim -> hidden (h1+h2-1 times) -> n_classes.
-    ``mixed`` lets callers reuse a precomputed mixed matrix across runs.
+    ``mixed`` lets callers reuse one ``mix_matrices`` result across runs.
     """
     if graph.features is None or graph.labels is None:
         raise ValueError("graph must carry features and labels")
@@ -199,12 +199,15 @@ def _as_index(mask) -> np.ndarray:
 
 
 def train(config: ModelConfig, dataset, splits,
-          mixed: sp.csr_matrix | None = None):
+          mixed: MixedOperator | None = None):
     """Full-batch training loop. Returns (model, TrainReport).
 
     Deterministic given config.seed; one dropout RNG stream is drawn
-    from the same seed as the weight init. Raises ValueError before the
-    first epoch when a split is empty or an index lies outside [0, N).
+    from the same seed as the weight init. ``mixed`` is the
+    ``mix_matrices(config.recipe, dataset.graph)`` operator when the
+    caller already holds it, else it is built here. Raises ValueError
+    before the first epoch when a split is empty or an index lies outside
+    [0, N).
     """
     graph = dataset.graph
     t0 = time.perf_counter()

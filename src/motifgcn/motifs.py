@@ -9,6 +9,13 @@ instances whose node set contains both u and v, and the diagonal entry
 (v, v) counts the instances containing v (extended-diagonal convention).
 It was chosen over counting only instances in which (u, v) is an edge so
 that a wedge also links its two leaves; for triangles the two coincide.
+
+The wedge matrix splits exactly over the adjacency A with degrees d:
+``W = B + A²`` with ``B = DA + AD - 2A + diag(C(d,2) + A·d - 2d)``,
+whose support lies inside A ∪ diag. Its row sums are therefore known in
+closed form, ``d² + 3·A·d - 4d + C(d,2)``. The mix uses the split to
+apply the normalized wedge term as ``s∘A(A(s∘Y))`` and never stores A²,
+which is the densest matrix in the model (up to 2·|E|·d_max entries).
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .graph import Graph, build_adjacency, check_symmetric, freeze_csr
 __all__ = [
     "MatrixSource",
     "MixRecipe",
+    "MixedOperator",
     "MotifError",
     "triangle_motif_matrix",
     "wedge_motif_matrix",
@@ -87,14 +95,25 @@ def wedge_motif_matrix(A: sp.csr_matrix) -> sp.csr_matrix:
     Diagonal  (v, v):  C(d(v), 2)  +  sum over neighbors u of (d(u) - 1)
     """
     _check_binary_adjacency(A)
+    B, _ = _wedge_split(A)
+    return freeze_csr(B + A @ A)
+
+
+def _wedge_split(A: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+    """B of the split W = B + A² and the row sums of W.
+
+    A² holds the common-neighbor counts off the diagonal and d on it, so
+    B = DA + AD - 2A + diag(C(d,2) + A·d - 2d) carries the rest of W. B's
+    diagonal can be negative (-1 at both ends of an isolated edge), so B
+    is no motif matrix by itself. Every value is an integer, so both
+    results are exact.
+    """
     d = np.asarray(A.sum(axis=1)).ravel()
+    Ad = A @ d
+    pairs = d * (d - 1) / 2.0
     D = sp.diags(d)
-    adjacent_part = D @ A + A @ D - 2.0 * A
-    paths = A @ A
-    paths.setdiag(0.0)
-    paths.eliminate_zeros()
-    diag = d * (d - 1) / 2.0 + A @ d - d
-    return freeze_csr(adjacent_part + paths + sp.diags(diag))
+    B = D @ A + A @ D - 2.0 * A + sp.diags(pairs + Ad - 2.0 * d)
+    return B, d * d + 3.0 * Ad - 4.0 * d + pairs
 
 
 def motif_matrix_oracle(graph: Graph, motif) -> np.ndarray:
@@ -134,12 +153,16 @@ def normalize_symmetric(M: sp.csr_matrix, add_self_loops: bool) -> sp.csr_matrix
     S = M
     if add_self_loops:
         S = S + sp.identity(M.shape[0], format="csr")
-    r = np.asarray(S.sum(axis=1)).ravel()
+    D = sp.diags(_inverse_sqrt(np.asarray(S.sum(axis=1)).ravel()))
+    return freeze_csr(D @ S @ D)
+
+
+def _inverse_sqrt(r: np.ndarray) -> np.ndarray:
+    """r^{-1/2} elementwise for nonnegative r, 0 where r is 0."""
     scale = np.zeros_like(r)
     nz = r > 0
     scale[nz] = 1.0 / np.sqrt(r[nz])
-    D = sp.diags(scale)
-    return freeze_csr(D @ S @ D)
+    return scale
 
 
 @dataclass(frozen=True)
@@ -184,41 +207,108 @@ def _format_weight(w: float) -> str:
     return short if float(short) == w else repr(w)
 
 
-def _component_matrix(source: MatrixSource, A: sp.csr_matrix) -> sp.csr_matrix:
+def _normalized_part(source: MatrixSource, A: sp.csr_matrix):
+    """A source's normalized matrix as (part on A ∪ diag, wedge scaling).
+
+    Edge and triangle: the part is the whole normalized matrix and the
+    scaling is None. Wedge: with s = rowsum(W)^{-1/2} and W = B + A², the
+    normalized matrix is s∘B∘s + s∘A²∘s; the part is s∘B∘s and s is
+    returned for the A² term, which ``MixedOperator`` applies.
+    """
     if source is MatrixSource.EDGE:
         # The +I of GCN-style normalization supplies self-affinity here;
         # motif matrices already carry it on their extended diagonal.
-        return normalize_symmetric(A, add_self_loops=True)
+        return normalize_symmetric(A, add_self_loops=True), None
     if source is MatrixSource.TRIANGLE:
-        return normalize_symmetric(triangle_motif_matrix(A), add_self_loops=False)
-    return normalize_symmetric(wedge_motif_matrix(A), add_self_loops=False)
+        return normalize_symmetric(triangle_motif_matrix(A), add_self_loops=False), None
+    B, rowsum = _wedge_split(A)
+    s = _inverse_sqrt(rowsum)
+    Ds = sp.diags(s)
+    return Ds @ B @ Ds, s
 
 
-def mix_matrices(recipe: MixRecipe, graph: Graph) -> sp.csr_matrix:
+@dataclass(frozen=True, eq=False)  # identity equality: arrays do not compare to a bool
+class MixedOperator:
+    """The normalized mixed matrix S = P + c·diag(s)·A²·diag(s), applied
+    without storing A².
+
+    Attributes:
+        P: frozen CSR on the pattern of A plus the diagonal: the weighted
+            edge and triangle components plus c·s∘B∘s from the wedge.
+        A: the graph's frozen adjacency.
+        s: read-only wedge scaling rowsum(W)^{-1/2}, 0 on zero rows (and
+            everywhere when the mix has no wedge component).
+        c: wedge weight over the total weight; 0 without a wedge.
+
+    Every field is read-only, so threads may share one operator.
+    """
+
+    P: sp.csr_matrix
+    A: sp.csr_matrix
+    s: np.ndarray
+    c: float
+
+    @property
+    def shape(self) -> tuple:
+        return self.P.shape
+
+    @property
+    def nnz(self) -> int:
+        """Stored values one apply reads per column of its argument."""
+        return self.P.nnz + (2 * self.A.nnz if self.c else 0)
+
+    def __matmul__(self, Y: np.ndarray) -> np.ndarray:
+        """S @ Y as P @ Y + c·s∘(A @ (A @ (s∘Y))), for a dense Y."""
+        out = self.P @ Y
+        if self.c:
+            s = self.s.reshape((-1,) + (1,) * (np.ndim(Y) - 1))
+            far = self.A @ (self.A @ (s * Y))
+            far *= self.c * s
+            out += far
+        return out
+
+    def to_scipy(self) -> sp.csr_matrix:
+        """S materialized as frozen canonical CSR, A² entries included."""
+        Ds = sp.diags(self.s)
+        return freeze_csr(self.P + self.c * (Ds @ (self.A @ self.A) @ Ds))
+
+
+def mix_matrices(recipe: MixRecipe, graph: Graph) -> MixedOperator:
     """Normalized mixed matrix: sum of independently normalized components.
 
     Weights are rescaled to sum to 1, so ``8:1:2`` and ``16:2:4`` are the
     same recipe. All-zero components (e.g. the triangle matrix of a
-    triangle-free graph) are dropped with a warning.
+    triangle-free graph, or the wedge matrix of a graph with no two
+    adjacent edges) are dropped with a warning.
+
+    The wedge matrix splits as W = B + A², where B's support lies inside
+    A ∪ diag, and its row sums are d² + 3·A·d - 4d + C(d,2) in closed form
+    (see the module docstring). So everything but the A² term sums into
+    one CSR P on A ∪ diag, and the returned ``MixedOperator`` applies the
+    A² term as two products with A. ``to_scipy()`` materializes the mix.
     """
     A = build_adjacency(graph)
+    n = graph.n_nodes
     kept = []
     for source, weight in recipe.components:
         if weight == 0:
             continue
-        component = _component_matrix(source, A)
-        if component.nnz == 0:
+        part, s = _normalized_part(source, A)
+        all_zero = part.nnz == 0 if s is None else not s.any()
+        if all_zero:
             warnings.warn(
                 f"{source.value} component is an all-zero matrix; dropped from mix"
             )
             continue
-        kept.append((component, weight))
+        kept.append((part, weight, s))
     if not kept:
         raise MotifError("no usable components in recipe")
-    total = sum(w for _, w in kept)
-    mixed = sum((m * (w / total) for m, w in kept),
-                sp.csr_matrix((graph.n_nodes, graph.n_nodes)))
-    return freeze_csr(mixed)
+    total = sum(w for _, w, _ in kept)
+    P = sum((part * (w / total) for part, w, _ in kept), sp.csr_matrix((n, n)))
+    wedge = [(w / total, s) for _, w, s in kept if s is not None]
+    s = wedge[0][1] if wedge else np.zeros(n)
+    s.flags.writeable = False
+    return MixedOperator(freeze_csr(P), A, s, float(sum(c for c, _ in wedge)))
 
 
 def triangle_count(graph: Graph) -> int:

@@ -10,9 +10,13 @@ full forward/backward pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    from .motifs import MixedOperator
 
 __all__ = [
     "OptimizerConfig",
@@ -58,8 +62,9 @@ def glorot_init(in_dim: int, out_dim: int, rng) -> np.ndarray:
     return rng.uniform(-s, s, size=(in_dim, out_dim))
 
 
-def spmm(S: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
-    """Sparse @ dense product."""
+def spmm(S: sp.csr_matrix | MixedOperator, X: np.ndarray) -> np.ndarray:
+    """Sparse @ dense product: S is a scipy sparse matrix or the model's
+    ``motifs.MixedOperator``, anything with ``shape`` and ``@``."""
     X = np.asarray(X, dtype=np.float64)
     if S.shape[1] != X.shape[0]:
         raise ValueError(f"dimension mismatch: {S.shape[1]} vs {X.shape[0]}")

@@ -175,6 +175,19 @@ def test_protocol_output(tmp_path, capsys):
     assert payload["std"] == pytest.approx(float(np.std(payload["runs"])))
 
 
+def test_protocol_threads_match_sequential(tmp_path, capsys):
+    # The runs on two threads share one mixed operator, built with the
+    # fixture's wedge-bearing recipe; they must give the sequential result.
+    results = []
+    for threads in (1, 2):
+        conf = fixture_conf_with(tmp_path, f"threads = {threads}")
+        code, payload = run(capsys, "protocol", "--config", conf, "--runs", "4")
+        assert code == 0
+        assert payload["config"].pop("threads") == threads
+        results.append(payload)
+    assert results[0] == results[1]
+
+
 def test_gradcheck_passes(capsys):
     code, payload = run(capsys, "gradcheck")
     assert code == 0

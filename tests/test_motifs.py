@@ -96,16 +96,21 @@ def test_wedge_sparsity_and_support_bounds(rng):
 
 
 def test_builders_return_frozen_canonical_csr(rng):
-    # run_protocol shares one mixed matrix across threads, so every
-    # builder must hand out read-only canonical CSR.
+    # run_protocol shares one mixed operator across threads, so every
+    # builder must hand out read-only canonical CSR, and the operator
+    # only read-only arrays.
     g = random_graph(rng, 20, 0.3)
     A = build_adjacency(g)
+    mixed = mix_matrices(MixRecipe.parse("edge:8,triangle:1,wedge:2"), g)
+    assert not mixed.s.flags.writeable
     built = [
         A,
         triangle_motif_matrix(A),
         wedge_motif_matrix(A),
         normalize_symmetric(A, add_self_loops=True),
-        mix_matrices(MixRecipe.parse("edge:8,triangle:1,wedge:2"), g),
+        mixed.P,
+        mixed.A,
+        mixed.to_scipy(),
     ]
     for M in built:
         assert sp.isspmatrix_csr(M)
@@ -217,21 +222,22 @@ def test_mix_single_edge_component_is_gcn_matrix(rng):
     g = random_graph(rng, 12, 0.4)
     mixed = mix_matrices(MixRecipe.parse("edge:1"), g)
     ref = normalize_symmetric(build_adjacency(g), add_self_loops=True)
-    assert np.allclose(mixed.toarray(), ref.toarray(), atol=1e-15)
+    assert np.allclose(mixed.to_scipy().toarray(), ref.toarray(), atol=1e-15)
 
 
 def test_mix_weight_normalization(rng):
     g = random_graph(rng, 14, 0.4)
     A = build_adjacency(g)
-    mixed = mix_matrices(MixRecipe.parse("edge:8,triangle:1,wedge:2"), g).toarray()
+    mix = mix_matrices(MixRecipe.parse("edge:8,triangle:1,wedge:2"), g)
+    mixed = mix.to_scipy().toarray()
     ref = (
         8 / 11 * normalize_symmetric(A, True).toarray()
         + 1 / 11 * normalize_symmetric(triangle_motif_matrix(A), False).toarray()
         + 2 / 11 * normalize_symmetric(wedge_motif_matrix(A), False).toarray()
     )
     assert np.allclose(mixed, ref, atol=1e-14)
-    scaled = mix_matrices(MixRecipe.parse("edge:16,triangle:2,wedge:4"), g).toarray()
-    assert np.allclose(mixed, scaled, atol=1e-14)
+    scaled = mix_matrices(MixRecipe.parse("edge:16,triangle:2,wedge:4"), g)
+    assert np.allclose(mixed, scaled.to_scipy().toarray(), atol=1e-14)
 
 
 def test_mix_output_symmetric(rng):
@@ -239,14 +245,14 @@ def test_mix_output_symmetric(rng):
         weights = rng.uniform(0.1, 5.0, size=3)
         recipe = MixRecipe(tuple(zip(("edge", "triangle", "wedge"), weights)))
         g = random_graph(rng, 15, 0.3)
-        check_symmetric(mix_matrices(recipe, g), 1e-12)
+        check_symmetric(mix_matrices(recipe, g).to_scipy(), 1e-12)
 
 
 def test_mix_drops_all_zero_component(path3):
     with pytest.warns(UserWarning, match="triangle"):
         mixed = mix_matrices(MixRecipe.parse("edge:1,triangle:1"), path3)
     ref = normalize_symmetric(build_adjacency(path3), True)
-    assert np.allclose(mixed.toarray(), ref.toarray(), atol=1e-15)
+    assert np.allclose(mixed.to_scipy().toarray(), ref.toarray(), atol=1e-15)
 
 
 def test_recipe_validation():

@@ -1,17 +1,21 @@
 """Property tests: kernels against the brute-force oracle, the mixed
-operator's symmetry and norm bound, and the recipe text round trip."""
+operator against the materialized mix, its symmetry and norm bound, and
+the recipe text round trip."""
 
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from motifgcn.graph import Graph, build_adjacency, check_symmetric
 from motifgcn.motifs import (
     MatrixSource,
     MixRecipe,
+    MotifError,
     mix_matrices,
     motif_matrix_oracle,
+    normalize_symmetric,
     triangle_motif_matrix,
     wedge_motif_matrix,
 )
@@ -56,6 +60,53 @@ def test_kernels_equal_oracle(g):
                           motif_matrix_oracle(g, "wedge"))
 
 
+def materialized_mix(recipe, g):
+    """The mix as the dense sum of w/total · normalize_symmetric(kernel(A))
+    over the components that are not all zero; None when none is left."""
+    A = build_adjacency(g)
+    normalized = {
+        MatrixSource.EDGE: lambda: normalize_symmetric(A, add_self_loops=True),
+        MatrixSource.TRIANGLE: lambda: normalize_symmetric(triangle_motif_matrix(A), False),
+        MatrixSource.WEDGE: lambda: normalize_symmetric(wedge_motif_matrix(A), False),
+    }
+    parts = [(normalized[src]().toarray(), w) for src, w in recipe.components if w]
+    parts = [(M, w) for M, w in parts if M.any()]
+    total = sum(w for _, w in parts)
+    return sum(M * (w / total) for M, w in parts) if parts else None
+
+
+RECIPE_SHAPES = (("edge",), ("wedge",), ("edge", "triangle"), ("edge", "wedge"),
+                 ("edge", "triangle", "wedge"))
+ALL_THREE = RECIPE_SHAPES[-1]
+
+
+@PROPERTY
+@given(graphs(), st.sampled_from(RECIPE_SHAPES),
+       st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3), st.integers(1, 3))
+@example(star(5), ALL_THREE, [8.0, 1.0, 2.0], 2)  # triangle-free: triangle dropped
+@example(Graph(6, [(0, 1), (2, 3), (4, 5)]), ALL_THREE, [8.0, 1.0, 2.0], 2)  # no wedges
+@example(Graph(6, [(0, 1), (2, 3), (4, 5)]), ("wedge",), [1.0, 1.0, 1.0], 1)
+@example(Graph(5, [(0, 1), (2, 3), (3, 4)]), ("wedge",), [1.0, 1.0, 1.0], 2)  # rows 0, 1 zero
+@example(Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3)]), ALL_THREE, [8.0, 1.0, 2.0], 3)
+@example(Graph(6, [(i, (i + 1) % 6) for i in range(6)]),  # triangle-free cycle
+         ("edge", "triangle"), [1.0, 4.0, 1.0], 1)
+def test_mixed_operator_equals_materialized_mix(g, sources, weights, width):
+    recipe = MixRecipe(tuple(zip(sources, weights)))
+    ref = materialized_mix(recipe, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # all-zero motif components are dropped
+        if ref is None:
+            with pytest.raises(MotifError, match="no usable"):
+                mix_matrices(recipe, g)
+            return
+        M = mix_matrices(recipe, g)
+    Y = np.random.default_rng(g.n_nodes).standard_normal((g.n_nodes, width))
+    assert M.shape == ref.shape
+    assert np.abs(M @ Y - ref @ Y).max() <= 1e-12
+    assert np.abs(M @ Y[:, 0] - ref @ Y[:, 0]).max() <= 1e-12
+    assert np.abs(M.to_scipy().toarray() - ref).max() <= 1e-12
+
+
 @PROPERTY
 @given(graphs(), st.floats(1e-3, 1e3), st.floats(0, 1e3), st.floats(0, 1e3))
 @example(star(5), 1.0, 0.0, 0.0)  # hub row sum is 1.61, yet the norm is 1
@@ -63,7 +114,7 @@ def test_mix_symmetric_with_spectral_norm_at_most_one(g, edge, triangle, wedge):
     recipe = MixRecipe((("edge", edge), ("triangle", triangle), ("wedge", wedge)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # all-zero motif components are dropped
-        M = mix_matrices(recipe, g)
+        M = mix_matrices(recipe, g).to_scipy()
     check_symmetric(M, 1e-12)
     assert np.abs(np.linalg.eigvalsh(M.toarray())).max() <= 1 + 1e-9
 
