@@ -49,15 +49,10 @@ def _load_dataset(cfg: RunConfig):
     if not kind:
         raise ConfigError("no dataset configured (set 'dataset' or --dataset)")
     if kind == "planetoid":
-        return data_io.load_planetoid(
-            cfg.resolved_data_root(), cfg.dataset_arg(),
-            normalize_features=cfg.normalize_flag(),
-        )
+        return data_io.load_planetoid(cfg.resolved_data_root(), cfg.dataset_arg())
     if kind == "ego":
-        dataset = data_io.load_ego_facebook(
-            cfg.resolved_data_root(), int(cfg.dataset_arg()),
-            label_rule=cfg.label_rule,
-        )
+        dataset = data_io.load_ego_facebook(cfg.resolved_data_root(),
+                                            int(cfg.dataset_arg()))
     else:
         for key in ("edges_file", "features_file", "labels_file"):
             if not getattr(cfg, key):
@@ -66,7 +61,6 @@ def _load_dataset(cfg: RunConfig):
             cfg.resolve_path(cfg.edges_file),
             cfg.resolve_path(cfg.features_file),
             cfg.resolve_path(cfg.labels_file),
-            normalize_features=cfg.normalize_flag(),
         )
     return dataset, data_io.make_splits(dataset, cfg.split_spec(), cfg.seed)
 

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .data import SplitSpec
+from .data import EXPECTED_EDGES, SplitSpec
 from .motifs import MixRecipe
 from .model import ModelConfig
 from .nn import OptimizerConfig
@@ -20,6 +20,11 @@ from .nn import OptimizerConfig
 __all__ = ["RunConfig", "ConfigError", "DATA_ROOT_ENV"]
 
 DATA_ROOT_ENV = "MOTIFGCN_DATA"
+
+
+# The library defaults every model, optimizer and split key takes.
+_MODEL = ModelConfig()
+_SPLIT = SplitSpec()
 
 
 class ConfigError(ValueError):
@@ -44,24 +49,22 @@ class RunConfig:
     edges_file: str = ""         # generic-format paths, resolved against
     features_file: str = ""      # the config file's directory
     labels_file: str = ""
-    recipe: str = "edge:1"
-    h1: int = 2
-    h2: int = 1
-    hidden_dim: int = 16
-    learning_rate: float = 0.01
-    dropout: float = 0.5
-    weight_decay: float = 5e-4
-    max_epochs: int = 200
-    patience: int = 10
-    seed: int = 0
+    recipe: str = str(_MODEL.recipe)
+    h1: int = _MODEL.h1
+    h2: int = _MODEL.h2
+    hidden_dim: int = _MODEL.hidden_dim
+    learning_rate: float = _MODEL.optimizer.learning_rate
+    dropout: float = _MODEL.optimizer.dropout_rate
+    weight_decay: float = _MODEL.optimizer.weight_decay
+    max_epochs: int = _MODEL.max_epochs
+    patience: int = _MODEL.patience
+    seed: int = _MODEL.seed
     runs: int = 1
     threads: int = 1
-    per_class_train: int = 20
-    val_fraction: float = 0.15
-    test_fraction: float = 0.30
-    allow_small_classes: bool = False
-    label_rule: str = "lowest"
-    normalize_features: str = "auto"  # auto / true / false
+    per_class_train: int = _SPLIT.per_class_train
+    val_fraction: float = _SPLIT.val_fraction
+    test_fraction: float = _SPLIT.test_fraction
+    allow_small_classes: bool = _SPLIT.allow_small_classes
     out: str = ""
 
     _config_dir: Path = field(default_factory=Path, repr=False)
@@ -70,7 +73,7 @@ class RunConfig:
     def schema(cls):
         casts = {int: int, float: float, bool: _bool, str: str}
         return {
-            f.name: casts[f.type if isinstance(f.type, type) else eval(f.type)]
+            f.name: casts[type(f.default)]
             for f in fields(cls)
             if not f.name.startswith("_")
         }
@@ -107,19 +110,19 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.dataset and self.dataset_kind() not in ("planetoid", "ego", "generic"):
+        kind, arg = self.dataset_kind(), self.dataset_arg()
+        if self.dataset and kind not in ("planetoid", "ego", "generic"):
             raise ConfigError(f"unknown dataset spec {self.dataset!r}")
-        if self.dataset_kind() == "planetoid":
-            for name in ("per_class_train", "val_fraction", "test_fraction",
-                         "allow_small_classes"):
-                # A dataclass keeps each field's default as a class attribute.
-                if getattr(self, name) != getattr(RunConfig, name):
-                    raise ConfigError(f"{name} does not apply to planetoid datasets, "
+        if kind == "ego" and not arg.isdecimal():
+            raise ConfigError(f"ego dataset needs a numeric id, got {self.dataset!r}")
+        if kind == "planetoid":
+            if arg.lower() not in EXPECTED_EDGES:
+                raise ConfigError(f"unknown planetoid dataset {self.dataset!r}; "
+                                  f"expected one of {', '.join(EXPECTED_EDGES)}")
+            for f in fields(SplitSpec):
+                if getattr(self, f.name) != getattr(_SPLIT, f.name):
+                    raise ConfigError(f"{f.name} does not apply to planetoid datasets, "
                                       "which always use the published split")
-        if self.normalize_features not in ("auto", "true", "false"):
-            raise ConfigError("normalize_features must be auto/true/false")
-        if self.label_rule not in ("lowest", "largest"):
-            raise ConfigError(f"unknown label_rule {self.label_rule!r}")
         for name in ("runs", "threads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -149,11 +152,6 @@ class RunConfig:
     def resolve_path(self, value: str) -> Path:
         p = Path(value)
         return p if p.is_absolute() else self._config_dir / p
-
-    def normalize_flag(self) -> bool:
-        if self.normalize_features == "auto":
-            return self.dataset_kind() == "planetoid"
-        return self.normalize_features == "true"
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(

@@ -100,17 +100,13 @@ class SplitSpec:
                              "with a sum below 1")
 
 
-def _row_normalize(X):
+def _row_normalize(X: sp.csr_matrix) -> sp.csr_matrix:
     """Divide each row by its sum (zero rows stay zero); keeps CSR sparse."""
-    if sp.issparse(X):
-        X = sp.csr_matrix(X, dtype=np.float64, copy=True)
-        s = np.asarray(X.sum(axis=1)).ravel()
-        s[s == 0] = 1.0
-        X.data /= np.repeat(s, np.diff(X.indptr))
-        return X
-    s = X.sum(axis=1, keepdims=True)
+    X = sp.csr_matrix(X, dtype=np.float64, copy=True)
+    s = np.asarray(X.sum(axis=1)).ravel()
     s[s == 0] = 1.0
-    return X / s
+    X.data /= np.repeat(s, np.diff(X.indptr))
+    return X
 
 
 def _load_pickle(path: Path):
@@ -118,14 +114,15 @@ def _load_pickle(path: Path):
         return pickle.load(fh, encoding="latin1")
 
 
-def load_planetoid(directory, name: str, normalize_features: bool = True):
+def load_planetoid(directory, name: str):
     """Load a citation network plus its canonical public split.
 
     The split is 20 labeled nodes per class for training (the first
     len(y) rows), the following 500 nodes for validation, and the file's
     test indices for testing. Citeseer's isolated test nodes receive
     zero feature rows and stay unlabeled, per the standard reindexing.
-    Features stay a scipy CSR matrix.
+    Features are row-normalized, as in Kipf & Welling's GCN, and stay a
+    scipy CSR matrix.
     """
     name = name.lower()
     if name not in EXPECTED_EDGES:
@@ -177,7 +174,7 @@ def load_planetoid(directory, name: str, normalize_features: bool = True):
     graph = Graph.from_edge_list(
         n,
         edges,
-        features=_row_normalize(features) if normalize_features else features,
+        features=_row_normalize(features),
         labels=labels,
         n_classes=onehot.shape[1],
     )
@@ -200,18 +197,16 @@ def load_planetoid(directory, name: str, normalize_features: bool = True):
     return Dataset(graph, name), splits
 
 
-def load_ego_facebook(directory, ego_id: int, label_rule: str = "lowest",
-                      include_ego: bool = True) -> Dataset:
+def load_ego_facebook(directory, ego_id: int) -> Dataset:
     """Load one Facebook ego network with circle-derived labels.
 
     Nodes without features or without any circle membership are removed
     and the rest reindexed. Multi-circle nodes take their lowest-index
-    circle as label (``label_rule='largest'`` picks the biggest circle
-    instead). The ego node, which belongs to no circle, is therefore
-    dropped unless a circle happens to list it.
+    circle as label. The ego node, which belongs to no circle, is
+    therefore dropped unless a circle happens to list it; if one does,
+    it keeps its ``egofeat`` row and an edge to every other kept node.
+    Features are used as read.
     """
-    if label_rule not in ("lowest", "largest"):
-        raise DataError(f"unknown label rule {label_rule!r}")
     directory = Path(directory)
 
     def need(suffix):
@@ -228,7 +223,7 @@ def load_ego_facebook(directory, ego_id: int, label_rule: str = "lowest",
         vals = line.split()
         features[int(vals[0])] = np.array([float(v) for v in vals[1:]])
     egofeat = need("egofeat").read_text().split()
-    if include_ego and egofeat:
+    if egofeat:
         features[ego_id] = np.array([float(v) for v in egofeat])
 
     circles = []
@@ -237,17 +232,12 @@ def load_ego_facebook(directory, ego_id: int, label_rule: str = "lowest",
             continue
         toks = line.split()
         circles.append([int(t) for t in toks[1:]])
-    circle_sizes = [len(c) for c in circles]
 
     labels = {}
     for node in features:
         member_of = [i for i, c in enumerate(circles) if node in c]
-        if not member_of:
-            continue
-        if label_rule == "lowest":
+        if member_of:
             labels[node] = min(member_of)
-        else:
-            labels[node] = max(member_of, key=lambda i: (circle_sizes[i], -i))
 
     kept = sorted(labels)
     if not kept:
@@ -267,7 +257,7 @@ def load_ego_facebook(directory, ego_id: int, label_rule: str = "lowest",
             raise DataError(f"{ego_id}.edges line {ln}: cannot parse") from exc
         if a in index and b in index:
             edges.append((index[a], index[b]))
-    if include_ego and ego_id in index:
+    if ego_id in index:
         edges.extend((index[ego_id], index[v]) for v in kept if v != ego_id)
 
     X = np.stack([features[node] for node in kept])
@@ -285,16 +275,15 @@ def _parse_id(token: str, path, line_no: int) -> int:
         raise DataError(f"{path} line {line_no}: bad node id {token!r}") from exc
 
 
-def load_generic(edge_file, feature_file, label_file,
-                 normalize_features: bool = False) -> Dataset:
+def load_generic(edge_file, feature_file, label_file) -> Dataset:
     """Load the simple fixture format.
 
     Edge file: two whitespace-separated node IDs per line. Feature file:
     CSV rows ``id,v1,v2,...``. Label file: CSV rows ``id,label``. The
     node universe is the union of IDs across all three files; nodes
     missing from the edge file come in isolated, nodes without features
-    get zero rows, nodes without labels stay unlabeled.
-    '#' starts a comment in every file.
+    get zero rows, nodes without labels stay unlabeled. Features are
+    used as read. '#' starts a comment in every file.
     """
     def rows(path):
         for ln, line in enumerate(Path(path).read_text().split("\n"), start=1):
@@ -345,7 +334,7 @@ def load_generic(edge_file, feature_file, label_file,
     graph = Graph.from_edge_list(
         len(ids),
         [(index[a], index[b]) for a, b in raw_edges],
-        features=_row_normalize(X) if normalize_features else X,
+        features=X,
         labels=y,
         n_classes=len(classes),
     )

@@ -175,13 +175,15 @@ def regularized_loss(model: Model, Z: np.ndarray, labels, mask_idx) -> float:
     loss = nn.cross_entropy_loss(Z, labels, mask_idx)
     wd = model.config.optimizer.weight_decay
     if wd:
-        loss += 0.5 * wd * float(np.sum(model.weights[0] ** 2))
+        # Diverged weights overflow to inf; train reports TrainingDiverged.
+        with np.errstate(over="ignore"):
+            loss += 0.5 * wd * float(np.sum(model.weights[0] ** 2))
     return loss
 
 
 def evaluate(model: Model, X, labels: np.ndarray, mask) -> float:
     """Fraction of masked nodes whose argmax prediction matches the label."""
-    idx = _as_index(mask)
+    idx = nn.as_index(mask)
     if idx.size == 0:
         raise ValueError("evaluate: empty mask")
     return _accuracy(forward(model, X, training=False), labels, idx)
@@ -189,13 +191,6 @@ def evaluate(model: Model, X, labels: np.ndarray, mask) -> float:
 
 def _accuracy(Z: np.ndarray, labels, idx: np.ndarray) -> float:
     return float(np.mean(Z[idx].argmax(axis=1) == np.asarray(labels)[idx]))
-
-
-def _as_index(mask) -> np.ndarray:
-    mask = np.asarray(mask)
-    if mask.dtype == bool:
-        return np.flatnonzero(mask)
-    return mask.astype(np.int64)
 
 
 def train(config: ModelConfig, dataset, splits,
@@ -211,9 +206,9 @@ def train(config: ModelConfig, dataset, splits,
     """
     graph = dataset.graph
     t0 = time.perf_counter()
-    train_idx = _as_index(splits.train)
-    val_idx = _as_index(splits.validation)
-    test_idx = _as_index(splits.test)
+    train_idx = nn.as_index(splits.train)
+    val_idx = nn.as_index(splits.validation)
+    test_idx = nn.as_index(splits.test)
     for name, idx in (("train", train_idx), ("validation", val_idx), ("test", test_idx)):
         if idx.size == 0:
             raise ValueError(f"{name} split is empty")
@@ -269,7 +264,8 @@ def train(config: ModelConfig, dataset, splits,
 
 def run_protocol(config: ModelConfig, dataset, splits, n_runs: int,
                  threads: int = 1):
-    """Repeat training with seeds seed+0 ... seed+n_runs-1.
+    """Repeat training with seeds seed+0 ... seed+n_runs-1 on ``threads``
+    worker threads.
 
     Returns {"mean", "max", "std", "accuracies"}, where std is the
     population standard deviation (np.std); results are merged by run
@@ -284,11 +280,8 @@ def run_protocol(config: ModelConfig, dataset, splits, n_runs: int,
         _, report = train(cfg, dataset, splits, mixed=mixed)
         return report.test_accuracy
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            accs = list(pool.map(one, range(n_runs)))
-    else:
-        accs = [one(i) for i in range(n_runs)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        accs = list(pool.map(one, range(n_runs)))
     return {
         "mean": float(np.mean(accs)),
         "max": float(np.max(accs)),

@@ -34,10 +34,10 @@ class ModelFileError(RuntimeError):
     pass
 
 
-def save_model(model: Model, path, config_echo: dict | None = None) -> None:
+def save_model(model: Model, path, config_echo: dict) -> None:
     last = len(model.weights) - 1
     header = {
-        "config": config_echo or {},
+        "config": config_echo,
         "layers": [
             {
                 "role": "gcn" if k < model.config.h1 else "mlp",

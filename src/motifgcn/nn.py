@@ -20,6 +20,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "OptimizerConfig",
+    "as_index",
     "glorot_init",
     "spmm",
     "relu",
@@ -30,6 +31,9 @@ __all__ = [
 ]
 
 PROB_FLOOR = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -37,9 +41,6 @@ class OptimizerConfig:
     """Adam + regularization settings (defaults follow the standard GCN recipe)."""
 
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     weight_decay: float = 5e-4  # L2 on the first layer only
     dropout_rate: float = 0.5
 
@@ -50,6 +51,14 @@ class OptimizerConfig:
             raise ValueError("weight_decay must be >= 0 and finite")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError("dropout_rate must be in [0, 1)")
+
+
+def as_index(mask) -> np.ndarray:
+    """Node indices of a boolean mask, or an index array as int64."""
+    mask = np.asarray(mask)
+    if mask.dtype == bool:
+        return np.flatnonzero(mask)
+    return mask.astype(np.int64)
 
 
 def glorot_init(in_dim: int, out_dim: int, rng) -> np.ndarray:
@@ -83,11 +92,7 @@ def softmax_rows(X: np.ndarray) -> np.ndarray:
 
 def cross_entropy_loss(Z: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     """Mean categorical cross-entropy -log Z[v, y_v] over the masked rows."""
-    mask = np.asarray(mask)
-    if mask.dtype == bool:
-        idx = np.flatnonzero(mask)
-    else:
-        idx = np.asarray(mask, dtype=np.int64)
+    idx = as_index(mask)
     if idx.size == 0:
         raise ValueError("cross_entropy_loss: empty mask")
     p = np.clip(Z[idx, np.asarray(labels)[idx]], PROB_FLOOR, None)
@@ -100,12 +105,12 @@ def adam_step(W: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarray,
     moment estimates, zero before step 1. Returns the new (W, m, v)."""
     if t < 1:
         raise ValueError("Adam step index must be >= 1")
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m = b1 * m + (1 - b1) * grad
     v = b2 * v + (1 - b2) * grad * grad
     m_hat = m / (1 - b1 ** t)
     v_hat = v / (1 - b2 ** t)
-    W = W - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    W = W - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return W, m, v
 
 

@@ -20,6 +20,13 @@ __all__ = [
 
 # Every (h1, h2) combination used in the experiments.
 GRADCHECK_SHAPES = ((1, 0), (1, 1), (2, 0), (2, 1))
+# All three motif sources, so every mix component's gradient is checked.
+GRADCHECK_RECIPE = MixRecipe((("edge", 8.0), ("triangle", 1.0), ("wedge", 2.0)))
+GRADCHECK_STEP = 1e-6  # central-difference step
+# Picked so the fixture graph contains triangles and wedges and the ReLU
+# pre-activations sit comfortably away from zero (finite differences
+# across a ReLU kink would be meaningless).
+GRADCHECK_FIXTURE_SEED = 5
 
 
 def random_graph(rng, n: int, p: float, feature_dim: int = 0,
@@ -37,19 +44,13 @@ def random_graph(rng, n: int, p: float, feature_dim: int = 0,
     return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), **kwargs)
 
 
-def gradcheck_fixture(seed: int = 5) -> Graph:
-    """Small dense-ish labeled graph for gradient checks.
-
-    Seed 5 was picked so the graph contains triangles and wedges and the
-    ReLU pre-activations sit comfortably away from zero (finite
-    differences across a ReLU kink would be meaningless).
-    """
-    rng = np.random.default_rng(seed)
+def gradcheck_fixture() -> Graph:
+    """Small dense-ish labeled graph for gradient checks."""
+    rng = np.random.default_rng(GRADCHECK_FIXTURE_SEED)
     return random_graph(rng, 12, 0.5, feature_dim=6, n_classes=3)
 
 
 def gradient_check(h1: int, h2: int, graph: Graph | None = None,
-                   recipe: MixRecipe | None = None, step: float = 1e-6,
                    inject_error: bool = False) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -58,11 +59,9 @@ def gradient_check(h1: int, h2: int, graph: Graph | None = None,
     """
     if graph is None:
         graph = gradcheck_fixture()
-    if recipe is None:
-        recipe = MixRecipe((("edge", 8.0), ("triangle", 1.0), ("wedge", 2.0)))
     config = ModelConfig(
-        h1=h1, h2=h2, hidden_dim=5, recipe=recipe, seed=3,
-        optimizer=OptimizerConfig(dropout_rate=0.0, weight_decay=5e-4),
+        h1=h1, h2=h2, hidden_dim=5, recipe=GRADCHECK_RECIPE, seed=3,
+        optimizer=OptimizerConfig(dropout_rate=0.0),
     )
     model = build_model(config, graph)
     X, y = graph.features, graph.labels
@@ -79,12 +78,12 @@ def gradient_check(h1: int, h2: int, graph: Graph | None = None,
         for _ in it:
             ij = it.multi_index
             orig = W[ij]
-            W[ij] = orig + step
+            W[ij] = orig + GRADCHECK_STEP
             up = regularized_loss(model, forward(model, X), y, train_idx)
-            W[ij] = orig - step
+            W[ij] = orig - GRADCHECK_STEP
             down = regularized_loss(model, forward(model, X), y, train_idx)
             W[ij] = orig
-            fd = (up - down) / (2 * step)
+            fd = (up - down) / (2 * GRADCHECK_STEP)
             err = abs(g[ij] - fd) / max(1.0, abs(g[ij]), abs(fd))
             worst = max(worst, float(err))
     return worst

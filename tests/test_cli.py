@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from motifgcn.cli import main
+from motifgcn.config import RunConfig
+from motifgcn.data import SplitSpec
+from motifgcn.model import ModelConfig
 from motifgcn.modelfile import load_model
 
 REPO = Path(__file__).resolve().parent.parent
@@ -96,13 +99,20 @@ def test_train_saves_model_container(tmp_path):
         ("gcn", "softmax", [5, 2])]
 
 
-def test_bad_config_key_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("line", ["no_such_option = 1", "normalize_features = auto",
+                                  "label_rule = lowest"])
+def test_bad_config_key_exits_2(tmp_path, capsys, line):
     conf = tmp_path / "bad.conf"
-    conf.write_text("no_such_option = 1\n")
+    conf.write_text(line + "\n")
     code = main(["train", "--config", str(conf)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "no_such_option" in err
+    assert line.split()[0] in err
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    assert RunConfig().model_config() == ModelConfig()
+    assert RunConfig().split_spec() == SplitSpec()
 
 
 BAD_CONFIG_LINES = [
@@ -146,9 +156,13 @@ def test_planetoid_split_keys_default_and_override(tmp_path, capsys):
     assert "per_class_train" in capsys.readouterr().err
 
 
-def test_bad_dataset_spec_exits_2(capsys):
-    code = main(["motif-stats", "--dataset", "imagenet:cat"])
+@pytest.mark.parametrize("spec", ["imagenet:cat", "ego:abc", "planetoid:foo", "planetoid"])
+def test_bad_dataset_spec_exits_2(tmp_path, capsys, spec):
+    # Rejected before any file is read, even with a data root present.
+    code = main(["motif-stats", "--dataset", spec, "--data-root", str(tmp_path)])
+    captured = capsys.readouterr()
     assert code == 2
+    assert "configuration error" in captured.err
 
 
 def test_missing_data_root_exits_2(capsys, monkeypatch):

@@ -188,15 +188,6 @@ def test_load_ego_fixture(tmp_path):
     assert g.n_classes == 2
 
 
-def test_load_ego_largest_rule(tmp_path):
-    make_ego_fixture(tmp_path)
-    ds = load_ego_facebook(tmp_path, 99, label_rule="largest")
-    # node 3 is in circle0 (3 members) and circle1 (2): largest wins
-    assert ds.graph.labels[ds.node_ids.index(3)] == 0
-    with pytest.raises(DataError):
-        load_ego_facebook(tmp_path, 99, label_rule="biggest")
-
-
 def test_load_ego_missing_file(tmp_path):
     with pytest.raises(DataError, match="missing"):
         load_ego_facebook(tmp_path, 4242)
