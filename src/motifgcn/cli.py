@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from . import data as data_io
 from .config import ConfigError, RunConfig
@@ -43,8 +44,8 @@ def _emit(payload: dict, out_path: str) -> None:
 
 
 def _load_dataset(cfg: RunConfig):
-    """Returns (Dataset, Splits). Split construction is seeded by cfg.seed
-    and stays fixed across the runs of a protocol."""
+    """Returns (Dataset, Splits or None): a planetoid dataset comes with
+    its published split, the others with none."""
     kind = cfg.dataset_kind()
     if not kind:
         raise ConfigError("no dataset configured (set 'dataset' or --dataset)")
@@ -62,7 +63,14 @@ def _load_dataset(cfg: RunConfig):
             cfg.resolve_path(cfg.features_file),
             cfg.resolve_path(cfg.labels_file),
         )
-    return dataset, data_io.make_splits(dataset, cfg.split_spec(), cfg.seed)
+    return dataset, None
+
+
+def _load_split_dataset(cfg: RunConfig):
+    """Returns (Dataset, Splits). A split that is not published is seeded
+    by cfg.seed and stays fixed across the runs of a protocol."""
+    dataset, splits = _load_dataset(cfg)
+    return dataset, splits or data_io.make_splits(dataset, cfg.split_spec(), cfg.seed)
 
 
 def cmd_motif_stats(cfg: RunConfig, args) -> int:
@@ -89,21 +97,8 @@ def cmd_motif_stats(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _report_payload(report) -> dict:
-    # wall_clock_seconds is intentionally excluded: reports must be
-    # byte-identical across reruns with the same seed.
-    return {
-        "train_losses": report.train_losses,
-        "val_losses": report.val_losses,
-        "val_accuracies": report.val_accuracies,
-        "best_epoch": report.best_epoch,
-        "epochs_run": report.epochs_run,
-        "test_accuracy": report.test_accuracy,
-    }
-
-
 def cmd_train(cfg: RunConfig, args) -> int:
-    dataset, splits = _load_dataset(cfg)
+    dataset, splits = _load_split_dataset(cfg)
     t0 = time.perf_counter()
     model, report = train(cfg.model_config(), dataset, splits)
     print(f"trained in {time.perf_counter() - t0:.2f}s "
@@ -114,14 +109,14 @@ def cmd_train(cfg: RunConfig, args) -> int:
         "command": "train",
         "dataset": dataset.name,
         "config": cfg.echo(),
-        "report": _report_payload(report),
+        "report": asdict(report),
     }
     _emit(payload, cfg.out)
     return 0
 
 
 def cmd_protocol(cfg: RunConfig, args) -> int:
-    dataset, splits = _load_dataset(cfg)
+    dataset, splits = _load_split_dataset(cfg)
     t0 = time.perf_counter()
     result = run_protocol(cfg.model_config(), dataset, splits, cfg.runs,
                           threads=cfg.threads)
@@ -140,6 +135,8 @@ def cmd_protocol(cfg: RunConfig, args) -> int:
 
 
 def cmd_grid_search(cfg: RunConfig, args) -> int:
+    if args.grid_seeds < 1:
+        raise ConfigError("--grid-seeds must be >= 1")
     grid = []
     with open(args.grid) as fh:
         for line in fh:
@@ -148,7 +145,7 @@ def cmd_grid_search(cfg: RunConfig, args) -> int:
                 grid.append(MixRecipe.parse(line))
     if not grid:
         raise ConfigError(f"grid file {args.grid} contains no recipes")
-    dataset, splits = _load_dataset(cfg)
+    dataset, splits = _load_split_dataset(cfg)
     best, table = grid_search(dataset, splits, grid, cfg.model_config(),
                               n_seeds=args.grid_seeds)
     payload = {
@@ -162,11 +159,6 @@ def cmd_grid_search(cfg: RunConfig, args) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig, args) -> int:
-    if args.dropout > 0:
-        print("gradcheck refuses to run with dropout enabled: the loss is "
-              "stochastic and finite differences would be meaningless",
-              file=sys.stderr)
-        return 2
     results = {}
     worst = 0.0
     for h1, h2 in GRADCHECK_SHAPES:
@@ -186,10 +178,26 @@ def cmd_gradcheck(cfg: RunConfig, args) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig, args) -> int:
+    if args.graphs < 1 or not 5 <= args.max_n <= 30:
+        raise ConfigError("oracle-check needs --graphs >= 1 and 5 <= --max-n <= 30")
     report = oracle_check(n_graphs=args.graphs, max_n=args.max_n, seed=cfg.seed)
     report["command"] = "oracle-check"
     _emit(report, cfg.out)
     return 0 if report["passed"] else 1
+
+
+# --config, and the flags that override the config key of the same name.
+COMMON_FLAGS = {
+    "config": {"help": "key=value config file"},
+    "dataset": {"help": "planetoid:<name>, ego:<id>, or generic"},
+    "data-root": {},
+    "recipe": {"help": "e.g. edge:8,triangle:1,wedge:2"},
+    "runs": {"type": int},
+    "seed": {"type": int},
+    "threads": {"type": int},
+    "out": {"help": "write the JSON report here instead of stdout"},
+}
+OVERRIDE_KEYS = tuple(f.replace("-", "_") for f in COMMON_FLAGS if f != "config")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,58 +207,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--dataset", help="planetoid:<name>, ego:<id>, or generic")
-        p.add_argument("--data-root", dest="data_root")
-        p.add_argument("--recipe", help="e.g. edge:8,triangle:1,wedge:2")
-        p.add_argument("--runs", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
+    def command(name, fn, help, flags):
+        p = sub.add_parser(name, help=help)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **COMMON_FLAGS[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("motif-stats", help="triangle/wedge statistics and CC")
-    common(p)
-    p.set_defaults(fn=cmd_motif_stats)
+    command("motif-stats", cmd_motif_stats, "triangle/wedge statistics and CC",
+            "config dataset data-root out")
 
-    p = sub.add_parser("train", help="train one model")
-    common(p)
+    p = command("train", cmd_train, "train one model",
+                "config dataset data-root recipe seed out")
     p.add_argument("--model-out", help="save weights to this container file")
-    p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("protocol", help="mean/max accuracy over repeated runs")
-    common(p)
-    p.set_defaults(fn=cmd_protocol)
+    command("protocol", cmd_protocol, "mean/max accuracy over repeated runs",
+            " ".join(COMMON_FLAGS))
 
-    p = sub.add_parser("grid-search", help="pick a mix recipe by validation accuracy")
-    common(p)
+    p = command("grid-search", cmd_grid_search, "pick a mix recipe by validation accuracy",
+                "config dataset data-root seed out")
     p.add_argument("--grid", required=True, help="file with one recipe per line")
     p.add_argument("--grid-seeds", type=int, default=5)
-    p.set_defaults(fn=cmd_grid_search)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    common(p)
-    p.add_argument("--dropout", type=float, default=0.0)
+    p = command("gradcheck", cmd_gradcheck, "finite-difference gradient verification",
+                "out")
     p.add_argument("--inject-gradient-error", action="store_true",
                    help=argparse.SUPPRESS)  # negative-control test hook
-    p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("oracle-check", help="kernels vs the brute-force oracle")
-    common(p)
+    p = command("oracle-check", cmd_oracle_check, "kernels vs the brute-force oracle",
+                "seed out")
     p.add_argument("--graphs", type=int, default=50)
     p.add_argument("--max-n", type=int, default=25)
-    p.set_defaults(fn=cmd_oracle_check)
 
     return parser
-
-
-OVERRIDE_KEYS = ("dataset", "data_root", "recipe", "runs", "seed", "threads", "out")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+        cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
         overrides = {k: getattr(args, k, None) for k in OVERRIDE_KEYS}
         cfg.apply_overrides(overrides)
     except (ConfigError, OSError) as exc:

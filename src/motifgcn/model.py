@@ -10,7 +10,6 @@ validation loss and best-epoch weight restoration.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -80,7 +79,6 @@ class TrainReport:
     best_epoch: int  # 1-based
     epochs_run: int
     test_accuracy: float
-    wall_clock_seconds: float
 
 
 def build_model(config: ModelConfig, graph: Graph,
@@ -109,7 +107,8 @@ def forward(model: Model, X, training: bool = False, rng=None,
 
     X is a dense array or a scipy sparse matrix; a sparse X stays sparse
     through the first layer's dropout and ``Hin @ W``. Dropout hits each
-    layer's input and is active only in training mode.
+    layer's input and is active only in training mode. The tape holds
+    each layer's (dropped-out input, dropout mask, output).
     """
     if X.shape[0] != model.mixed_matrix.shape[0]:
         raise ValueError("feature rows must match mixed-matrix dimension")
@@ -122,11 +121,13 @@ def forward(model: Model, X, training: bool = False, rng=None,
     tape = []
     for k, W in enumerate(model.weights):
         Hin, mask = nn.dropout_forward(H, rate, rng, training)
-        pre = Hin @ W
+        # Diverged weights overflow to inf; train reports TrainingDiverged.
+        with np.errstate(over="ignore"):
+            pre = Hin @ W
         if k < h1:
             pre = nn.spmm(model.mixed_matrix, pre)
         H = nn.softmax_rows(pre) if k == last else nn.relu(pre)
-        tape.append((Hin, mask, pre, H))
+        tape.append((Hin, mask, H))
     return (H, tape) if with_tape else H
 
 
@@ -141,7 +142,7 @@ def backward(model: Model, tape, labels: np.ndarray, train_idx: np.ndarray):
     """
     if len(tape) != len(model.weights):
         raise ValueError("tape length does not match layer count")
-    Z = tape[-1][3]
+    Z = tape[-1][2]
     n_mask = train_idx.size
     d_pre = np.zeros_like(Z)
     d_pre[train_idx] = Z[train_idx]
@@ -150,7 +151,7 @@ def backward(model: Model, tape, labels: np.ndarray, train_idx: np.ndarray):
 
     grads = [None] * len(model.weights)
     for k in range(len(model.weights) - 1, -1, -1):
-        Hin, mask, _, _ = tape[k]
+        Hin, mask, _ = tape[k]
         # pre = S (Hin W) with S symmetric, so dW = Hin^T (S dPre);
         # an MLP layer has pre = Hin W and dW = Hin^T dPre.
         if k < model.config.h1:
@@ -205,7 +206,6 @@ def train(config: ModelConfig, dataset, splits,
     [0, N).
     """
     graph = dataset.graph
-    t0 = time.perf_counter()
     train_idx = nn.as_index(splits.train)
     val_idx = nn.as_index(splits.validation)
     test_idx = nn.as_index(splits.test)
@@ -257,31 +257,32 @@ def train(config: ModelConfig, dataset, splits,
         best_epoch=best_epoch,
         epochs_run=len(train_losses),
         test_accuracy=test_acc,
-        wall_clock_seconds=time.perf_counter() - t0,
     )
     return model, report
 
 
-def run_protocol(config: ModelConfig, dataset, splits, n_runs: int,
-                 threads: int = 1):
-    """Repeat training with seeds seed+0 ... seed+n_runs-1 on ``threads``
-    worker threads.
-
-    Returns {"mean", "max", "std", "accuracies"}, where std is the
-    population standard deviation (np.std); results are merged by run
-    index so the output is independent of scheduling.
-    """
+def _train_seeds(config: ModelConfig, dataset, splits, n_runs: int,
+                 threads: int = 1) -> list:
+    """TrainReports of seeds seed+0 ... seed+n_runs-1 in seed order, so
+    independent of scheduling; the runs share one mixed operator and go to
+    ``threads`` worker threads."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     mixed = mix_matrices(config.recipe, dataset.graph)
 
     def one(i):
-        cfg = replace(config, seed=config.seed + i)
-        _, report = train(cfg, dataset, splits, mixed=mixed)
-        return report.test_accuracy
+        return train(replace(config, seed=config.seed + i), dataset, splits, mixed=mixed)[1]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        accs = list(pool.map(one, range(n_runs)))
+        return list(pool.map(one, range(n_runs)))
+
+
+def run_protocol(config: ModelConfig, dataset, splits, n_runs: int,
+                 threads: int = 1):
+    """Test accuracies of ``_train_seeds`` as {"mean", "max", "std",
+    "accuracies"}, where std is the population standard deviation (np.std)."""
+    reports = _train_seeds(config, dataset, splits, n_runs, threads)
+    accs = [r.test_accuracy for r in reports]
     return {
         "mean": float(np.mean(accs)),
         "max": float(np.max(accs)),
@@ -292,7 +293,8 @@ def run_protocol(config: ModelConfig, dataset, splits, n_runs: int,
 
 def grid_search(dataset, splits, ratio_grid, base_config: ModelConfig,
                 n_seeds: int = 5):
-    """Pick the recipe with the best mean validation accuracy.
+    """Pick the recipe with the best mean validation accuracy over seeds
+    seed+0 ... seed+n_seeds-1.
 
     A run's score is the validation accuracy of its restored best-epoch
     weights. Scoring never touches the test split. Ties break toward the
@@ -302,13 +304,9 @@ def grid_search(dataset, splits, ratio_grid, base_config: ModelConfig,
         raise ValueError("ratio grid is empty")
     rows = []
     for recipe in ratio_grid:
-        cfg_r = replace(base_config, recipe=recipe)
-        mixed = mix_matrices(recipe, dataset.graph)
-        scores = []
-        for s in range(n_seeds):
-            cfg = replace(cfg_r, seed=base_config.seed + s)
-            _, report = train(cfg, dataset, splits, mixed=mixed)
-            scores.append(report.val_accuracies[report.best_epoch - 1])
+        reports = _train_seeds(replace(base_config, recipe=recipe), dataset, splits,
+                               n_seeds)
+        scores = [r.val_accuracies[r.best_epoch - 1] for r in reports]
         rows.append({"recipe": str(recipe), "val_accuracy_mean": float(np.mean(scores)),
                      "val_accuracies": scores})
     best_i = int(np.argmax([r["val_accuracy_mean"] for r in rows]))

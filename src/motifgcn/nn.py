@@ -123,25 +123,25 @@ def dropout_forward(H, rate: float, rng, training: bool):
     For a scipy CSR H only the stored values are dropped, one draw
     each (the ``sparse_dropout`` of Kipf & Welling's GCN): dropping a
     zero changes nothing. The output is a new CSR matrix holding the
-    kept values, and the mask is aligned with ``H.data``. With every
-    value stored, the draws and the mask equal those of the dense path.
+    kept values, scaled as the dense path scales them. A sparse H is
+    only ever the network input, whose gradient is never formed, so it
+    gets no mask (None). With every value stored, the draws and the
+    output equal those of the dense path.
     """
     if not 0 <= rate < 1:
         raise ValueError("dropout rate must be in [0, 1)")
     if not training or rate == 0.0:
         return H, None
+    scale = 1.0 / (1.0 - rate)
     if sp.issparse(H):
-        keep = rng.random(H.nnz) >= rate
-        mask = keep / (1.0 - rate)
         # Integer gathers are several times faster than boolean indexing;
         # row r of the output starts at the count of kept values before
         # H.indptr[r].
-        kept = np.flatnonzero(keep)
+        kept = np.flatnonzero(rng.random(H.nnz) >= rate)
         out = sp.csr_matrix(
-            (H.data[kept] * mask[kept], H.indices[kept], np.searchsorted(kept, H.indptr)),
+            (H.data[kept] * scale, H.indices[kept], np.searchsorted(kept, H.indptr)),
             shape=H.shape,
         )
-        return out, mask
-    keep = rng.random(H.shape) >= rate
-    mask = keep / (1.0 - rate)
+        return out, None
+    mask = (rng.random(H.shape) >= rate) * scale
     return H * mask, mask

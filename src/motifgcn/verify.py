@@ -67,7 +67,7 @@ def gradient_check(h1: int, h2: int, graph: Graph | None = None,
     X, y = graph.features, graph.labels
     train_idx = np.arange(0, graph.n_nodes, 2)
 
-    Z, tape = forward(model, X, training=False, with_tape=True)
+    _, tape = forward(model, X, training=False, with_tape=True)
     grads = backward(model, tape, y, train_idx)
     if inject_error:
         grads[0] = grads[0] + 1e-3  # negative-control hook

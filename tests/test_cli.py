@@ -69,6 +69,17 @@ def test_motif_stats_fixture(capsys):
     assert payload["nnz"]["wedge"] <= payload["bound_2ED"]
 
 
+def test_motif_stats_builds_no_split(tmp_path, capsys):
+    # The fixture's classes are too small for 100 training nodes each, so
+    # train cannot split them; motif-stats never uses a split.
+    conf = fixture_conf_with(tmp_path, "per_class_train = 100")
+    assert main(["train", "--config", conf]) == 1
+    assert "labeled nodes" in capsys.readouterr().err
+    code, payload = run(capsys, "motif-stats", "--config", conf)
+    assert code == 0
+    assert payload == run(capsys, "motif-stats", "--config", FIXTURE_CONF)[1]
+
+
 def test_train_schema_and_determinism(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["train", "--config", FIXTURE_CONF, "--seed", "7", "--out", str(a)]) == 0
@@ -217,10 +228,56 @@ def test_gradcheck_negative_control(capsys):
 
 
 def test_gradcheck_refuses_dropout(capsys):
-    code = main(["gradcheck", "--dropout", "0.5"])
+    # gradcheck has no dropout flag: a stochastic loss would make finite
+    # differences meaningless, so argparse rejects it.
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--dropout", "0.5"])
     err = capsys.readouterr().err
-    assert code == 2
+    assert exc.value.code == 2
     assert "dropout" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", FIXTURE_CONF, "--runs", "7"],
+    ["train", "--config", FIXTURE_CONF, "--threads", "9"],
+    ["motif-stats", "--config", FIXTURE_CONF, "--seed", "4"],
+    ["grid-search", "--config", FIXTURE_CONF, "--grid", "g.txt", "--threads", "2"],
+    ["grid-search", "--config", FIXTURE_CONF, "--grid", "g.txt", "--recipe", "edge:1"],
+    ["gradcheck", "--config", FIXTURE_CONF],
+    ["gradcheck", "--dropout", "0"],
+    ["oracle-check", "--dataset", "planetoid:cora"],
+])
+def test_unread_flag_exits_2(capsys, argv):
+    # A subcommand takes only the flags it reads.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert argv[-2] in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid-search", "--config", FIXTURE_CONF, "--grid", "no-such-file", "--grid-seeds", "0"],
+    ["oracle-check", "--graphs", "0"],
+    ["oracle-check", "--graphs", "-3"],
+    ["oracle-check", "--max-n", "4"],
+    ["oracle-check", "--max-n", "31"],
+])
+def test_bad_subcommand_flag_value_exits_2(capsys, argv):
+    # Checked before any work: the grid file is not even opened.
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert argv[-2] in captured.err
+
+
+def test_oracle_check_bounds_accepted(capsys):
+    code, payload = run(capsys, "oracle-check", "--graphs", "1", "--max-n", "5")
+    assert code == 0 and payload["passed"] is True
+    code, payload = run(capsys, "oracle-check", "--graphs", "1", "--max-n", "30")
+    assert code == 0 and payload["passed"] is True
 
 
 def test_oracle_check(capsys):
@@ -243,8 +300,9 @@ def test_grid_search(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # pytest's RuntimeWarning filter does not reach the subprocess.
     proc = subprocess.run(
-        [sys.executable, "-m", "motifgcn.cli", "motif-stats",
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "motifgcn.cli", "motif-stats",
          "--config", FIXTURE_CONF],
         capture_output=True, text=True,
     )

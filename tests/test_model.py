@@ -210,6 +210,17 @@ def test_train_divergence_reports_epoch(small_dataset, small_splits):
         train(cfg, small_dataset, small_splits)
 
 
+def test_train_divergence_in_matmul_is_silent(small_dataset, small_splits):
+    # Here the weights overflow in forward's Hin @ W, not only in the L2
+    # term; the RuntimeWarning filter turns any numpy warning into a failure.
+    cfg = ModelConfig(
+        h1=2, h2=1, recipe=MIXED, seed=0, max_epochs=50,
+        optimizer=OptimizerConfig(learning_rate=1e200, dropout_rate=0.0),
+    )
+    with pytest.raises(TrainingDiverged):
+        train(cfg, small_dataset, small_splits)
+
+
 SPLIT_FAULTS = [(split, fault) for fault in ("out of range", "empty")
                 for split in ("train", "validation", "test")]
 
@@ -315,6 +326,11 @@ def test_grid_search_table_and_duplicates(small_dataset, small_splits):
     # ties break toward the earlier grid entry
     if table[0]["val_accuracy_mean"] >= table[1]["val_accuracy_mean"]:
         assert best is grid[0]
+
+
+def test_grid_search_needs_a_seed(small_dataset, small_splits):
+    with pytest.raises(ValueError, match="n_runs"):
+        grid_search(small_dataset, small_splits, [EDGE_ONLY], ModelConfig(), n_seeds=0)
 
 
 def test_grid_search_empty_grid(small_dataset, small_splits):
