@@ -103,12 +103,14 @@ def cmd_train(cfg: RunConfig, args) -> int:
     model, report = train(cfg.model_config(), dataset, splits)
     print(f"trained in {time.perf_counter() - t0:.2f}s "
           f"({report.epochs_run} epochs)", file=sys.stderr)
+    # runs and threads are read by protocol only
+    echo = {k: v for k, v in cfg.echo().items() if k not in ("runs", "threads")}
     if args.model_out:
-        save_model(model, args.model_out, config_echo=cfg.echo())
+        save_model(model, args.model_out, config_echo=echo)
     payload = {
         "command": "train",
         "dataset": dataset.name,
-        "config": cfg.echo(),
+        "config": echo,
         "report": asdict(report),
     }
     _emit(payload, cfg.out)

@@ -4,6 +4,14 @@ The triangle and wedge motif matrices are built by closed-form sparse
 kernels; ``motif_matrix_oracle`` recomputes them by scanning every node
 triple and serves as their ground truth on small graphs.
 
+Triangles are listed without forming A². Each edge is oriented from the
+lower to the higher (degree, id) rank, giving U with A = U + Uᵀ
+("forward" listing, Schank & Wagner 2005; Latapy 2008). A node's
+out-degree in U is then at most sqrt(2|E|), and (U @ U)∘U holds each
+triangle exactly once, at the edge from its lowest- to its
+highest-ranked node. That product costs Σ in·out over the nodes instead
+of the Σ d² of A², which hubs dominate.
+
 Matrix entries use co-occurrence semantics: entry (u, v) counts motif
 instances whose node set contains both u and v, and the diagonal entry
 (v, v) counts the instances containing v (extended-diagonal convention).
@@ -16,6 +24,9 @@ whose support lies inside A ∪ diag. Its row sums are therefore known in
 closed form, ``d² + 3·A·d - 4d + C(d,2)``. The mix uses the split to
 apply the normalized wedge term as ``s∘A(A(s∘Y))`` and never stores A²,
 which is the densest matrix in the model (up to 2·|E|·d_max entries).
+Only ``wedge_motif_matrix`` forms A²; as A² is symmetric, ``(A @ A).T``
+converted to CSR is A² with every row sorted, in one O(nnz) pass instead
+of a sort per row.
 """
 
 from __future__ import annotations
@@ -74,6 +85,26 @@ def _check_binary_adjacency(A: sp.csr_matrix) -> None:
         raise MotifError("adjacency must have zero diagonal")
 
 
+def _ranked_triangles(A: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(U, H) for a binary adjacency A.
+
+    U is canonical CSR holding each edge of A once, pointing from the
+    lower to the higher (degree, id) rank. H = (U @ U)∘U counts at (a, c)
+    the nodes b with a→b→c, that is the triangles whose lowest-ranked
+    node is a and highest-ranked node is c; every triangle is counted
+    once.
+    """
+    _check_binary_adjacency(A)
+    n = A.shape[0]
+    d = np.diff(A.indptr)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(d, kind="stable")] = np.arange(n)  # ties go by id
+    up = np.repeat(rank, d) < rank[A.indices]
+    kept = np.concatenate([[0], np.cumsum(up)])  # kept entries before each position
+    U = sp.csr_matrix((A.data[up], A.indices[up], kept[A.indptr]), shape=A.shape)
+    return U, (U @ U).multiply(U)
+
+
 def triangle_motif_matrix(A: sp.csr_matrix) -> sp.csr_matrix:
     """Triangle motif matrix.
 
@@ -81,11 +112,29 @@ def triangle_motif_matrix(A: sp.csr_matrix) -> sp.csr_matrix:
     which is |N(u) ∩ N(v)| when {u,v} is an edge and 0 otherwise, so the
     support never leaves the adjacency support. Diagonal (v, v): number
     of triangles containing v.
+
+    Lists every triangle (a, b, c) from the degree-oriented edges (see
+    the module docstring): each hit (a, c) of (U @ U)∘U finds its middle
+    nodes b among the out-neighbors of a with b→c in U. Each triangle
+    then adds 1 to both entries of its three edges and to the diagonal
+    entries of its three nodes.
     """
-    _check_binary_adjacency(A)
-    common = (A @ A).multiply(A)  # common-neighbor counts restricted to edges
-    per_node = np.asarray(common.sum(axis=1)).ravel() / 2.0
-    return freeze_csr(common + sp.diags(per_node))
+    U, H = _ranked_triangles(A)
+    n = A.shape[0]
+    H = H.tocoo()
+    # Candidate middles: every out-neighbor of a, for each hit (a, c).
+    count = np.diff(U.indptr)[H.row]
+    a, c = np.repeat(H.row, count), np.repeat(H.col, count)
+    first = np.cumsum(count) - count  # where each hit's candidates begin
+    b = U.indices[np.arange(a.size) + np.repeat(U.indptr[H.row] - first, count)]
+    # Keep the candidates with b→c in U; U's keys row·n + col are sorted.
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(U.indptr)) * n + U.indices
+    wanted = b.astype(np.int64) * n + c
+    closed = keys[np.minimum(np.searchsorted(keys, wanted), keys.size - 1)] == wanted
+    a, b, c = a[closed], b[closed], c[closed]
+    rows = np.concatenate([a, b, a, c, b, c, a, b, c])
+    cols = np.concatenate([b, a, c, a, c, b, a, b, c])
+    return freeze_csr(sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)))
 
 
 def wedge_motif_matrix(A: sp.csr_matrix) -> sp.csr_matrix:
@@ -96,7 +145,9 @@ def wedge_motif_matrix(A: sp.csr_matrix) -> sp.csr_matrix:
     """
     _check_binary_adjacency(A)
     B, _ = _wedge_split(A)
-    return freeze_csr(B + A @ A)
+    # A² is symmetric, so its transpose as CSR is A² with sorted rows,
+    # and the sum takes scipy's path for sorted inputs.
+    return freeze_csr(B + (A @ A).T.tocsr())
 
 
 def _wedge_split(A: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -312,9 +363,8 @@ def mix_matrices(recipe: MixRecipe, graph: Graph) -> MixedOperator:
 
 
 def triangle_count(graph: Graph) -> int:
-    A = build_adjacency(graph)
-    diag = triangle_motif_matrix(A).diagonal()
-    return int(round(diag.sum() / 3.0))
+    _, H = _ranked_triangles(build_adjacency(graph))
+    return int(H.sum())
 
 
 def wedge_count(graph: Graph) -> int:

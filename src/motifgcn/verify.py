@@ -89,8 +89,9 @@ def gradient_check(h1: int, h2: int, graph: Graph | None = None,
     return worst
 
 
-def oracle_check(n_graphs: int = 50, max_n: int = 25, seed: int = 1) -> dict:
-    """Compare the triangle/wedge kernels against the brute-force oracle."""
+def oracle_check(n_graphs: int = 50, max_n: int = 25, *, seed: int) -> dict:
+    """Compare the triangle/wedge kernels against the brute-force oracle
+    on random graphs drawn from ``seed``."""
     if max_n > 30:
         raise ValueError("oracle check is capped at max_n <= 30")
     rng = np.random.default_rng(seed)

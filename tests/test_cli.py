@@ -110,6 +110,21 @@ def test_train_saves_model_container(tmp_path):
         ("gcn", "softmax", [5, 2])]
 
 
+def test_train_echoes_no_protocol_keys(tmp_path, capsys):
+    # runs and threads stay settable in the config file, but only protocol
+    # reads them, so train echoes neither.
+    conf = fixture_conf_with(tmp_path, "runs = 7", "threads = 2")
+    model_path = tmp_path / "model.bin"
+    code, payload = run(capsys, "train", "--config", conf, "--model-out", str(model_path))
+    assert code == 0
+    header, _ = load_model(model_path)
+    assert header["config"] == payload["config"]
+    assert not {"runs", "threads"} & payload["config"].keys()
+    code, payload = run(capsys, "protocol", "--config", conf, "--runs", "1")
+    assert code == 0
+    assert (payload["config"]["runs"], payload["config"]["threads"]) == (1, 2)
+
+
 @pytest.mark.parametrize("line", ["no_such_option = 1", "normalize_features = auto",
                                   "label_rule = lowest"])
 def test_bad_config_key_exits_2(tmp_path, capsys, line):

@@ -66,6 +66,46 @@ def test_kernels_match_oracle_on_random_graphs(rng):
         assert np.array_equal(wedge, motif_matrix_oracle(g, "wedge"))
 
 
+def hub_graph():
+    """300 nodes: two degree-~150 hubs sharing leaves, a 20-clique, rings
+    of equal-degree nodes and isolated nodes."""
+    edges = [(0, 1)]
+    edges += [(0, v) for v in range(2, 152)]
+    edges += [(1, v) for v in range(30, 180)]
+    edges += [(v, v + 1) for v in range(2, 178, 3)]  # leaf pairs close hub triangles
+    clique = range(180, 200)
+    edges += [(u, v) for u in clique for v in clique if u < v]
+    edges += [(0, v) for v in range(180, 190)]  # hub into the clique
+    for start in range(200, 270, 5):  # 5-rings: degree-2 ties, no triangle
+        edges += [(start + i, start + (i + 1) % 5) for i in range(5)]
+    edges += [(270, 271), (271, 272), (272, 270)]  # a lone triangle of ties
+    return Graph(300, edges)  # 273..299 isolated
+
+
+def test_triangle_kernels_on_hub_graph():
+    g = hub_graph()
+    A = build_adjacency(g)
+    dense = A.toarray()
+    common = (dense @ dense) * dense
+    expected = common + np.diag(common.sum(axis=1) / 2)
+    assert np.array_equal(triangle_motif_matrix(A).toarray(), expected)
+    assert triangle_count(g) == np.trace(dense @ dense @ dense) / 6
+    assert max_degree(g) > 150
+
+
+def test_triangle_kernels_on_triangle_free_and_empty_graphs(star5):
+    bipartite = Graph(12, [(u, v) for u in range(5) for v in range(5, 12)])
+    for g in (star5, bipartite):
+        assert triangle_motif_matrix(build_adjacency(g)).nnz == 0
+        assert triangle_count(g) == 0
+        with pytest.warns(UserWarning, match="triangle component"):
+            mix_matrices(MixRecipe.parse("edge:1,triangle:1"), g)
+    for n in (0, 4):
+        empty = Graph(n, np.zeros((0, 2), dtype=np.int64))
+        assert triangle_count(empty) == 0
+        assert triangle_motif_matrix(build_adjacency(empty)).shape == (n, n)
+
+
 def test_motif_matrices_symmetric_integer(rng):
     g = random_graph(rng, 20, 0.3)
     for M in (triangle_motif_matrix(build_adjacency(g)),
