@@ -15,7 +15,6 @@ from pathlib import Path
 from .data import EXPECTED_EDGES, SplitSpec
 from .motifs import MixRecipe
 from .model import ModelConfig
-from .nn import OptimizerConfig
 
 __all__ = ["RunConfig", "ConfigError", "DATA_ROOT_ENV"]
 
@@ -53,9 +52,9 @@ class RunConfig:
     h1: int = _MODEL.h1
     h2: int = _MODEL.h2
     hidden_dim: int = _MODEL.hidden_dim
-    learning_rate: float = _MODEL.optimizer.learning_rate
-    dropout: float = _MODEL.optimizer.dropout_rate
-    weight_decay: float = _MODEL.optimizer.weight_decay
+    learning_rate: float = _MODEL.learning_rate
+    dropout: float = _MODEL.dropout
+    weight_decay: float = _MODEL.weight_decay
     max_epochs: int = _MODEL.max_epochs
     patience: int = _MODEL.patience
     seed: int = _MODEL.seed
@@ -153,29 +152,16 @@ class RunConfig:
         p = Path(value)
         return p if p.is_absolute() else self._config_dir / p
 
+    def _build(self, cls, **parsed):
+        """A ``cls`` from the fields of the same names; ``parsed`` replaces
+        those held here as text."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)} | parsed)
+
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            h1=self.h1,
-            h2=self.h2,
-            hidden_dim=self.hidden_dim,
-            recipe=MixRecipe.parse(self.recipe),
-            optimizer=OptimizerConfig(
-                learning_rate=self.learning_rate,
-                dropout_rate=self.dropout,
-                weight_decay=self.weight_decay,
-            ),
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            seed=self.seed,
-        )
+        return self._build(ModelConfig, recipe=MixRecipe.parse(self.recipe))
 
     def split_spec(self) -> SplitSpec:
-        return SplitSpec(
-            per_class_train=self.per_class_train,
-            val_fraction=self.val_fraction,
-            test_fraction=self.test_fraction,
-            allow_small_classes=self.allow_small_classes,
-        )
+        return self._build(SplitSpec)
 
     def echo(self) -> dict:
         # 'out' is where the report lands, not part of the experiment;

@@ -19,7 +19,6 @@ import scipy.sparse as sp
 from .graph import Graph
 from .motifs import MixedOperator, MixRecipe, mix_matrices
 from . import nn
-from .nn import OptimizerConfig
 
 __all__ = [
     "ModelConfig",
@@ -46,7 +45,10 @@ class ModelConfig:
     h2: int = 1
     hidden_dim: int = 16
     recipe: MixRecipe = field(default_factory=lambda: MixRecipe((("edge", 1.0),)))
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    # Adam and regularization, as in the standard GCN recipe.
+    learning_rate: float = 0.01
+    dropout: float = 0.5
+    weight_decay: float = 5e-4  # L2 on the first layer only
     max_epochs: int = 200
     patience: int = 10
     seed: int = 0
@@ -62,6 +64,14 @@ class ModelConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be >= 0 and finite")
+        if not 0 <= self.dropout < 1:
+            raise ValueError("dropout must be in [0, 1)")
 
 
 @dataclass
@@ -112,7 +122,7 @@ def forward(model: Model, X, training: bool = False, rng=None,
     """
     if X.shape[0] != model.mixed_matrix.shape[0]:
         raise ValueError("feature rows must match mixed-matrix dimension")
-    rate = model.config.optimizer.dropout_rate
+    rate = model.config.dropout
     if sp.issparse(X):
         H = sp.csr_matrix(X, dtype=np.float64)
     else:
@@ -165,7 +175,7 @@ def backward(model: Model, tape, labels: np.ndarray, train_idx: np.ndarray):
         if mask is not None:
             d_hin = d_hin * mask
         d_pre = d_hin * (tape[k - 1][2] > 0)
-    wd = model.config.optimizer.weight_decay
+    wd = model.config.weight_decay
     if wd:
         grads[0] = grads[0] + wd * model.weights[0]
     return grads
@@ -174,7 +184,7 @@ def backward(model: Model, tape, labels: np.ndarray, train_idx: np.ndarray):
 def regularized_loss(model: Model, Z: np.ndarray, labels, mask_idx) -> float:
     """Cross-entropy plus the L2 penalty on the first layer."""
     loss = nn.cross_entropy_loss(Z, labels, mask_idx)
-    wd = model.config.optimizer.weight_decay
+    wd = model.config.weight_decay
     if wd:
         # Diverged weights overflow to inf; train reports TrainingDiverged.
         with np.errstate(over="ignore"):
@@ -233,7 +243,7 @@ def train(config: ModelConfig, dataset, splits,
             raise TrainingDiverged(epoch)
         grads = backward(model, tape, y, train_idx)
         for k, g in enumerate(grads):
-            W[k], m[k], v[k] = nn.adam_step(W[k], m[k], v[k], g, config.optimizer, epoch)
+            W[k], m[k], v[k] = nn.adam_step(W[k], m[k], v[k], g, config.learning_rate, epoch)
 
         Z_eval = forward(model, X, training=False)
         val_loss = nn.cross_entropy_loss(Z_eval, y, val_idx)

@@ -9,7 +9,6 @@ full forward/backward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -19,7 +18,6 @@ if TYPE_CHECKING:
     from .motifs import MixedOperator
 
 __all__ = [
-    "OptimizerConfig",
     "as_index",
     "glorot_init",
     "spmm",
@@ -34,23 +32,6 @@ PROB_FLOOR = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Adam + regularization settings (defaults follow the standard GCN recipe)."""
-
-    learning_rate: float = 0.01
-    weight_decay: float = 5e-4  # L2 on the first layer only
-    dropout_rate: float = 0.5
-
-    def __post_init__(self):
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be positive and finite")
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError("weight_decay must be >= 0 and finite")
-        if not 0 <= self.dropout_rate < 1:
-            raise ValueError("dropout_rate must be in [0, 1)")
 
 
 def as_index(mask) -> np.ndarray:
@@ -100,7 +81,7 @@ def cross_entropy_loss(Z: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> f
 
 
 def adam_step(W: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarray,
-              config: OptimizerConfig, t: int):
+              learning_rate: float, t: int):
     """Adam update with bias correction; t is 1-based. m and v are the
     moment estimates, zero before step 1. Returns the new (W, m, v)."""
     if t < 1:
@@ -110,7 +91,7 @@ def adam_step(W: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarray,
     v = b2 * v + (1 - b2) * grad * grad
     m_hat = m / (1 - b1 ** t)
     v_hat = v / (1 - b2 ** t)
-    W = W - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    W = W - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return W, m, v
 
 

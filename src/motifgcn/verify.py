@@ -8,7 +8,6 @@ import numpy as np
 from .graph import Graph, build_adjacency
 from .motifs import MixRecipe, motif_matrix_oracle, triangle_motif_matrix, wedge_motif_matrix
 from .model import ModelConfig, backward, build_model, forward, regularized_loss
-from .nn import OptimizerConfig
 
 __all__ = [
     "random_graph",
@@ -50,8 +49,7 @@ def gradcheck_fixture() -> Graph:
     return random_graph(rng, 12, 0.5, feature_dim=6, n_classes=3)
 
 
-def gradient_check(h1: int, h2: int, graph: Graph | None = None,
-                   inject_error: bool = False) -> float:
+def gradient_check(h1: int, h2: int, graph: Graph | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Dropout must be off: the loss would not be a deterministic function
@@ -59,18 +57,14 @@ def gradient_check(h1: int, h2: int, graph: Graph | None = None,
     """
     if graph is None:
         graph = gradcheck_fixture()
-    config = ModelConfig(
-        h1=h1, h2=h2, hidden_dim=5, recipe=GRADCHECK_RECIPE, seed=3,
-        optimizer=OptimizerConfig(dropout_rate=0.0),
-    )
+    config = ModelConfig(h1=h1, h2=h2, hidden_dim=5, recipe=GRADCHECK_RECIPE,
+                         dropout=0.0, seed=3)
     model = build_model(config, graph)
     X, y = graph.features, graph.labels
     train_idx = np.arange(0, graph.n_nodes, 2)
 
     _, tape = forward(model, X, training=False, with_tape=True)
     grads = backward(model, tape, y, train_idx)
-    if inject_error:
-        grads[0] = grads[0] + 1e-3  # negative-control hook
 
     worst = 0.0
     for W, g in zip(model.weights, grads):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from motifgcn import verify
 from motifgcn.cli import main
 from motifgcn.config import RunConfig
 from motifgcn.data import SplitSpec
@@ -141,11 +143,33 @@ def test_run_config_defaults_are_the_library_defaults():
     assert RunConfig().split_spec() == SplitSpec()
 
 
+def _other_value(default):
+    # A valid value other than the default, for every field type in use.
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 1
+    return default / 2
+
+
+@pytest.mark.parametrize("cls, build", [(ModelConfig, RunConfig.model_config),
+                                        (SplitSpec, RunConfig.split_spec)])
+def test_run_config_maps_each_setting_by_name(cls, build):
+    # Each setting arrives under its own name and moves no other one.
+    for f in dataclasses.fields(cls):
+        if f.name == "recipe":
+            continue
+        value = _other_value(getattr(cls(), f.name))
+        cfg = RunConfig(**{f.name: value})
+        cfg.validate()
+        assert build(cfg) == dataclasses.replace(cls(), **{f.name: value}), f.name
+
+
 BAD_CONFIG_LINES = [
     "h1 = 0", "h2 = -1", "hidden_dim = 0", "max_epochs = 0", "patience = 0",
     "runs = 0", "threads = 0", "learning_rate = 0", "learning_rate = nan",
     "dropout = 1.0", "weight_decay = -1", "val_fraction = -0.1",
-    "val_fraction = 0", "per_class_train = 0",
+    "val_fraction = 0", "per_class_train = 0", "seed = -1",
 ]
 
 
@@ -236,8 +260,16 @@ def test_gradcheck_passes(capsys):
     assert len(payload["per_shape"]) == 4
 
 
-def test_gradcheck_negative_control(capsys):
-    code, payload = run(capsys, "gradcheck", "--inject-gradient-error")
+def test_gradcheck_negative_control(capsys, monkeypatch):
+    backward = verify.backward
+
+    def wrong_backward(*args):
+        grads = backward(*args)
+        grads[0] = grads[0] + 1e-3
+        return grads
+
+    monkeypatch.setattr(verify, "backward", wrong_backward)
+    code, payload = run(capsys, "gradcheck")
     assert code == 1
     assert payload["passed"] is False
 
@@ -286,6 +318,40 @@ def test_bad_subcommand_flag_value_exits_2(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert argv[-2] in captured.err
+
+
+@pytest.mark.parametrize("command", ["train", "protocol", "grid-search", "oracle-check"])
+def test_negative_seed_exits_2_before_any_file_is_read(tmp_path, capsys, command):
+    # The data root is empty and the grid file missing, so reading either
+    # would exit 1.
+    argv = [command, "--seed", "-1"]
+    if command != "oracle-check":
+        argv += ["--dataset", "planetoid:cora", "--data-root", str(tmp_path)]
+    if command == "grid-search":
+        argv += ["--grid", str(tmp_path / "grid.txt")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "configuration error: seed must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize("grid_text, message", [
+    (None, "cannot read grid file {grid}: "),
+    ("edge:1\n\n# a comment\nedgy:2\n", "{grid} line 4: cannot parse recipe component"),
+    ("edge:nan\n", "{grid} line 1: "),
+])
+def test_bad_grid_file_exits_2(tmp_path, capsys, grid_text, message):
+    # A grid file that is missing or holds a bad recipe is a configuration
+    # error, as the same recipe given by --recipe is.
+    grid = tmp_path / "grid.txt"
+    if grid_text is not None:
+        grid.write_text(grid_text)
+    code = main(["grid-search", "--config", FIXTURE_CONF, "--grid", str(grid)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"configuration error: {message.format(grid=grid)}" in captured.err
 
 
 def test_oracle_check_bounds_accepted(capsys):

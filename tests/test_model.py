@@ -21,7 +21,6 @@ from motifgcn.model import (
     run_protocol,
     train,
 )
-from motifgcn.nn import OptimizerConfig
 from motifgcn.synthetic import two_community_dataset
 from motifgcn.verify import gradient_check, random_graph
 
@@ -79,7 +78,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(patience=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(weight_decay=-1)
+        ModelConfig(weight_decay=-1)
+    with pytest.raises(ValueError):
+        ModelConfig(seed=-1)
 
 
 # ----------------------------------------------------------------- forward
@@ -101,7 +102,7 @@ def test_forward_equals_two_layer_gcn_formula(rng):
     A_hat = normalize_symmetric(build_adjacency(g), add_self_loops=True).toarray()
     for h1, h2 in [(2, 0), (1, 1)]:
         cfg = ModelConfig(h1=h1, h2=h2, hidden_dim=8, recipe=EDGE_ONLY, seed=4,
-                          optimizer=OptimizerConfig(dropout_rate=0.0))
+                          dropout=0.0)
         m = build_model(cfg, g)
         W0, W1 = m.weights
         pre = np.maximum(A_hat @ g.features @ W0, 0.0) @ W1
@@ -114,8 +115,7 @@ def test_forward_equals_two_layer_gcn_formula(rng):
 
 def test_forward_permutation_equivariance(rng):
     g = labeled_graph(rng, n=15)
-    cfg = ModelConfig(h1=2, h2=1, recipe=MIXED, seed=2,
-                      optimizer=OptimizerConfig(dropout_rate=0.0))
+    cfg = ModelConfig(h1=2, h2=1, recipe=MIXED, seed=2, dropout=0.0)
     m = build_model(cfg, g)
     Z = forward(m, g.features)
 
@@ -133,8 +133,7 @@ def test_loss_permutation_invariance(rng):
     from motifgcn.model import regularized_loss
 
     g = labeled_graph(rng, n=15)
-    cfg = ModelConfig(h1=1, h2=1, recipe=MIXED, seed=2,
-                      optimizer=OptimizerConfig(dropout_rate=0.0))
+    cfg = ModelConfig(h1=1, h2=1, recipe=MIXED, seed=2, dropout=0.0)
     m = build_model(cfg, g)
     mask = np.arange(0, 15, 2)
     loss = regularized_loss(m, forward(m, g.features), g.labels, mask)
@@ -169,8 +168,7 @@ def test_initial_loss_near_log_n_classes(rng):
               labels=g.labels, n_classes=3)
     ds = Dataset(g, "probe")
     splits = make_splits(ds, SplitSpec(4, 0.2, 0.3), seed=0)
-    cfg = ModelConfig(h1=2, h2=1, recipe=MIXED, seed=3,
-                      optimizer=OptimizerConfig(dropout_rate=0.0))
+    cfg = ModelConfig(h1=2, h2=1, recipe=MIXED, seed=3, dropout=0.0)
     _, report = train(cfg, ds, splits)
     assert report.train_losses[0] == pytest.approx(np.log(3), rel=0.10)
 
@@ -204,7 +202,7 @@ def test_early_stopping_restores_best_epoch(small_dataset, small_splits):
 def test_train_divergence_reports_epoch(small_dataset, small_splits):
     cfg = ModelConfig(
         h1=1, h2=0, recipe=EDGE_ONLY, seed=0, max_epochs=50,
-        optimizer=OptimizerConfig(learning_rate=1e200, dropout_rate=0.0),
+        learning_rate=1e200, dropout=0.0,
     )
     with pytest.raises(TrainingDiverged):
         train(cfg, small_dataset, small_splits)
@@ -215,7 +213,7 @@ def test_train_divergence_in_matmul_is_silent(small_dataset, small_splits):
     # term; the RuntimeWarning filter turns any numpy warning into a failure.
     cfg = ModelConfig(
         h1=2, h2=1, recipe=MIXED, seed=0, max_epochs=50,
-        optimizer=OptimizerConfig(learning_rate=1e200, dropout_rate=0.0),
+        learning_rate=1e200, dropout=0.0,
     )
     with pytest.raises(TrainingDiverged):
         train(cfg, small_dataset, small_splits)
@@ -417,7 +415,7 @@ def test_train_deterministic_with_sparse_features(tmp_path):
         ds, splits = load_planetoid(tmp_path, "cora")
     assert sp.issparse(ds.graph.features)
     cfg = ModelConfig(h1=2, h2=1, recipe=MIXED, seed=9, max_epochs=60)
-    assert cfg.optimizer.dropout_rate > 0
+    assert cfg.dropout > 0
     _, r1 = train(cfg, ds, splits)
     _, r2 = train(cfg, ds, splits)
     assert r1.train_losses == r2.train_losses

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from motifgcn.graph import build_adjacency, freeze_csr
 from motifgcn.nn import (
-    OptimizerConfig,
     adam_step,
     cross_entropy_loss,
     dropout_forward,
@@ -82,29 +81,28 @@ def test_cross_entropy_empty_mask():
 
 def test_adam_zero_gradient_is_noop():
     W, m, v = np.ones((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))
-    W, m, v = adam_step(W, m, v, np.zeros((2, 2)), OptimizerConfig(), t=1)
+    W, m, v = adam_step(W, m, v, np.zeros((2, 2)), 0.01, t=1)
     assert np.array_equal(W, np.ones((2, 2)))
 
 
 def test_adam_constant_gradient_step_magnitude():
-    cfg = OptimizerConfig(learning_rate=0.01)
+    lr = 0.01
     W, m, v = np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))
     prev = W.copy()
     for t in range(1, 200):
-        W, m, v = adam_step(W, m, v, np.full((1, 1), 3.7), cfg, t)
+        W, m, v = adam_step(W, m, v, np.full((1, 1), 3.7), lr, t)
         step = abs(W - prev)[0, 0]
         prev = W.copy()
     # with constant gradients Adam's step magnitude approaches the lr
-    assert step == pytest.approx(cfg.learning_rate, rel=1e-3)
+    assert step == pytest.approx(lr, rel=1e-3)
 
 
 def test_adam_descends_convex_quadratic():
-    cfg = OptimizerConfig(learning_rate=0.05)
     W, m, v = np.array([[4.0, -3.0]]), np.zeros((1, 2)), np.zeros((1, 2))
     losses = []
     for t in range(1, 101):
         losses.append(float(np.sum(W**2)))
-        W, m, v = adam_step(W, m, v, 2 * W, cfg, t)
+        W, m, v = adam_step(W, m, v, 2 * W, 0.05, t)
     assert all(b < a for a, b in zip(losses[5:], losses[6:]))
     assert losses[-1] < 1e-2 * losses[0]
 
