@@ -1,6 +1,6 @@
 """motifgcn: motif-weighted graph convolution for node classification."""
 
-from .graph import Graph, build_adjacency, degree, max_degree
+from .graph import Graph, build_adjacency, max_degree
 from .motifs import (
     MixRecipe,
     clustering_coefficient,

@@ -82,7 +82,11 @@ class RunConfig:
         cfg = cls()
         cfg._config_dir = Path(path).parent
         schema = cls.schema()
-        for ln, raw in enumerate(Path(path).read_text().split("\n"), start=1):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+        for ln, raw in enumerate(text.split("\n"), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

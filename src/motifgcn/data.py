@@ -109,6 +109,14 @@ def _row_normalize(X: sp.csr_matrix) -> sp.csr_matrix:
     return X
 
 
+def _read_text(path) -> str:
+    """The file's text, decoded as UTF-8; DataError names a file that is not."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _load_pickle(path: Path):
     with open(path, "rb") as fh:
         return pickle.load(fh, encoding="latin1")
@@ -138,7 +146,7 @@ def load_planetoid(directory, name: str):
     if not index_path.exists():
         raise DataError(f"missing dataset file: {index_path}")
     test_idx = np.array(
-        [int(line) for line in index_path.read_text().split()], dtype=np.int64
+        [int(line) for line in _read_text(index_path).split()], dtype=np.int64
     )
     test_range = np.sort(test_idx)
 
@@ -209,25 +217,25 @@ def load_ego_facebook(directory, ego_id: int) -> Dataset:
     """
     directory = Path(directory)
 
-    def need(suffix):
+    def read(suffix):
         path = directory / f"{ego_id}.{suffix}"
         if not path.exists():
             raise DataError(f"missing ego-network file: {path}")
-        return path
+        return _read_text(path)
 
-    feat_lines = need("feat").read_text().split("\n")
+    feat_lines = read("feat").split("\n")
     features = {}
     for line in feat_lines:
         if not line.strip():
             continue
         vals = line.split()
         features[int(vals[0])] = np.array([float(v) for v in vals[1:]])
-    egofeat = need("egofeat").read_text().split()
+    egofeat = read("egofeat").split()
     if egofeat:
         features[ego_id] = np.array([float(v) for v in egofeat])
 
     circles = []
-    for line in need("circles").read_text().split("\n"):
+    for line in read("circles").split("\n"):
         if not line.strip():
             continue
         toks = line.split()
@@ -248,7 +256,7 @@ def load_ego_facebook(directory, ego_id: int) -> Dataset:
     class_of = {c: i for i, c in enumerate(used_circles)}
 
     edges = []
-    for ln, line in enumerate(need("edges").read_text().split("\n"), start=1):
+    for ln, line in enumerate(read("edges").split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -286,7 +294,7 @@ def load_generic(edge_file, feature_file, label_file) -> Dataset:
     used as read. '#' starts a comment in every file.
     """
     def rows(path):
-        for ln, line in enumerate(Path(path).read_text().split("\n"), start=1):
+        for ln, line in enumerate(_read_text(path).split("\n"), start=1):
             line = line.split("#", 1)[0].strip()
             if line:
                 yield ln, line

@@ -15,7 +15,6 @@ __all__ = [
     "Graph",
     "build_adjacency",
     "check_symmetric",
-    "degree",
     "freeze_csr",
     "max_degree",
 ]
@@ -60,6 +59,24 @@ def check_symmetric(m, tol: float = SYMMETRY_TOL) -> None:
         raise GraphError("matrix is not symmetric")
 
 
+def _canonical_adjacency(n: int, edges: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
+    """(pairs, A) for an (m, 2) int64 edge list. A is the frozen binary
+    adjacency of both orientations of every row, nonzero on the diagonal
+    where a row is a self-loop; pairs is A's strict upper triangle read
+    row by row: the distinct u < v pairs in lexicographic order."""
+    if ((edges < 0) | (edges >= n)).any():
+        raise GraphError("edge endpoint out of range")
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    adj.data[:] = 1.0  # the build summed each repeated pair
+    adj = freeze_csr(adj)
+    row_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr))
+    upper = adj.indices > row_of
+    pairs = np.stack([row_of[upper], adj.indices[upper].astype(np.int64)], axis=1)
+    return pairs, adj
+
+
 def _freeze_features(features):
     """Read-only float64 copy: a dense array, or canonical CSR for sparse input."""
     if not sp.issparse(features):
@@ -71,10 +88,13 @@ def _freeze_features(features):
 class Graph:
     """Immutable undirected graph with optional node features and labels.
 
+    ``edges`` is read back from the binary adjacency A built from the rows
+    passed in. An endpoint outside [0, N), a self-loop or a repeated pair,
+    in either orientation, raises GraphError, checked in that order.
+
     Attributes:
         n_nodes: number of nodes N; nodes are the integers [0, N).
-        edges: (m, 2) int array of unordered pairs with u < v, no
-            duplicates, no self-loops.
+        edges: (m, 2) int64 array of the pairs u < v, sorted.
         features: (N, T) float features as a dense array or a scipy
             CSR matrix (sparse input stays sparse through the first
             layer), or None. Either form is read-only: the CSR form has
@@ -93,22 +113,15 @@ class Graph:
     n_classes: int = 0
     dropped_self_loops: int = 0
     dropped_duplicates: int = 0
-    _neighbors: sp.csr_matrix = field(default=None, repr=False, compare=False)
+    _neighbors: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= self.n_nodes:
-                raise GraphError("edge endpoint out of range")
-            if (edges[:, 0] == edges[:, 1]).any():
-                raise GraphError("self-loop in edge list")
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            edges = np.stack([lo, hi], axis=1)
-            order = np.lexsort((edges[:, 1], edges[:, 0]))
-            edges = edges[order]
-            if edges.shape[0] > 1 and (np.diff(edges, axis=0) == 0).all(axis=1).any():
-                raise GraphError("duplicate edge in edge list")
+        rows = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges, adj = _canonical_adjacency(self.n_nodes, rows)
+        if adj.diagonal().any():
+            raise GraphError("self-loop in edge list")
+        if edges.shape[0] < rows.shape[0]:
+            raise GraphError("duplicate edge in edge list")
         object.__setattr__(self, "edges", _freeze(edges))
         if self.features is not None:
             feats = _freeze_features(self.features)
@@ -123,37 +136,23 @@ class Graph:
             if present.size and (present.min() < 0 or present.max() >= self.n_classes):
                 raise GraphError("label out of range [0, n_classes)")
             object.__setattr__(self, "labels", _freeze(labels))
-        # Frozen adjacency, built once; serves neighbor queries and
-        # build_adjacency.
-        n = self.n_nodes
-        rows = np.concatenate([edges[:, 0], edges[:, 1]])
-        cols = np.concatenate([edges[:, 1], edges[:, 0]])
-        adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-        object.__setattr__(self, "_neighbors", freeze_csr(adj))
+        object.__setattr__(self, "_neighbors", adj)
 
     @classmethod
     def from_edge_list(cls, n_nodes, raw_edges, **kwargs) -> "Graph":
         """Build a graph from a possibly messy edge list.
 
-        Self-loops are dropped and duplicate pairs collapsed; the counts
-        of dropped lines are kept on the instance.
+        Self-loops are dropped and repeated pairs, in either orientation,
+        collapsed; the counts of dropped lines are kept on the instance.
         """
         raw = np.asarray(list(raw_edges), dtype=np.int64).reshape(-1, 2)
-        loops = int((raw[:, 0] == raw[:, 1]).sum()) if raw.size else 0
-        raw = raw[raw[:, 0] != raw[:, 1]] if raw.size else raw
-        if raw.size:
-            lo = np.minimum(raw[:, 0], raw[:, 1])
-            hi = np.maximum(raw[:, 0], raw[:, 1])
-            pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
-            dupes = raw.shape[0] - pairs.shape[0]
-        else:
-            pairs = raw.reshape(0, 2)
-            dupes = 0
+        loop_free = raw[raw[:, 0] != raw[:, 1]]
+        pairs, _ = _canonical_adjacency(n_nodes, loop_free)
         return cls(
             n_nodes,
             pairs,
-            dropped_self_loops=loops,
-            dropped_duplicates=int(dupes),
+            dropped_self_loops=raw.shape[0] - loop_free.shape[0],
+            dropped_duplicates=loop_free.shape[0] - pairs.shape[0],
             **kwargs,
         )
 
@@ -165,12 +164,6 @@ class Graph:
     def feature_dim(self) -> int:
         return 0 if self.features is None else int(self.features.shape[1])
 
-    def neighbors(self, v: int) -> np.ndarray:
-        if not 0 <= v < self.n_nodes:
-            raise GraphError(f"node {v} out of range [0, {self.n_nodes})")
-        a = self._neighbors
-        return a.indices[a.indptr[v] : a.indptr[v + 1]]
-
     def degrees(self) -> np.ndarray:
         return np.diff(self._neighbors.indptr).astype(np.int64)
 
@@ -181,11 +174,6 @@ def build_adjacency(graph: Graph) -> sp.csr_matrix:
     Returns the graph's own frozen CSR matrix, not a copy.
     """
     return graph._neighbors
-
-
-def degree(graph: Graph, v: int) -> int:
-    """Number of neighbors of node v."""
-    return int(graph.neighbors(v).size)
 
 
 def max_degree(graph: Graph) -> int:

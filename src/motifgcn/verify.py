@@ -31,16 +31,14 @@ GRADCHECK_FIXTURE_SEED = 5
 def random_graph(rng, n: int, p: float, feature_dim: int = 0,
                  n_classes: int = 0) -> Graph:
     """Erdos-Renyi G(n, p) sample, optionally with random features/labels."""
-    mask = rng.random((n, n)) < p
-    iu = np.triu_indices(n, k=1)
-    edges = [(int(i), int(j)) for i, j in zip(*iu) if mask[i, j]]
+    edges = np.argwhere(np.triu(rng.random((n, n)) < p, 1))
     kwargs = {}
     if feature_dim:
         kwargs["features"] = rng.standard_normal((n, feature_dim))
     if n_classes:
         kwargs["labels"] = rng.integers(0, n_classes, size=n)
         kwargs["n_classes"] = n_classes
-    return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2), **kwargs)
+    return Graph(n, edges, **kwargs)
 
 
 def gradcheck_fixture() -> Graph:

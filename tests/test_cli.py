@@ -229,6 +229,25 @@ def test_missing_dataset_files_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_bytes(b"\xff\xfe\x00")
+    code = main(["train", "--config", str(conf)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "configuration error" in err and str(conf) in err
+
+
+def test_non_utf8_dataset_file_exits_1_naming_it(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_bytes(b"0 1\n\xff\xfe 2\n")
+    code = main(["motif-stats", "--config",
+                 fixture_conf_with(tmp_path, f"edges_file = {edges}")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(edges) in err and "UTF-8" in err
+
+
 def test_protocol_output(tmp_path, capsys):
     code, payload = run(capsys, "protocol", "--config", FIXTURE_CONF,
                         "--runs", "3", "--seed", "1")
@@ -381,9 +400,9 @@ def test_grid_search(tmp_path, capsys):
 
 
 def test_console_entry_point():
-    # pytest's RuntimeWarning filter does not reach the subprocess.
+    # pytest's warning filter does not reach the subprocess.
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "motifgcn.cli", "motif-stats",
+        [sys.executable, "-W", "error", "-m", "motifgcn.cli", "motif-stats",
          "--config", FIXTURE_CONF],
         capture_output=True, text=True,
     )
