@@ -15,6 +15,7 @@ keep the mapping on the Dataset.
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import warnings
 from dataclasses import dataclass
@@ -44,14 +45,13 @@ class DataError(ValueError):
 # Published undirected edge counts used for the +-1% load-time sanity gate.
 EXPECTED_EDGES = {"cora": 5429, "citeseer": 4732, "pubmed": 44338}
 
-PLANETOID_PARTS = ["x", "y", "tx", "ty", "allx", "ally", "graph"]
+PLANETOID_PARTS = ["x", "y", "tx", "ty", "allx", "ally", "graph", "test.index"]
 
 
 @dataclass(frozen=True)
 class Dataset:
     graph: Graph
     name: str
-    class_names: tuple | None = None
     node_ids: tuple | None = None  # original external IDs, index-aligned
 
     def __post_init__(self):
@@ -117,9 +117,66 @@ def _read_text(path) -> str:
         raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+def _lines(path):
+    """(line number, text) for each line of a dataset text file that keeps
+    any text once its '#' comment and surrounding blanks are stripped."""
+    for ln, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield ln, line
+
+
+def _parse(cast, tokens, what, path, ln) -> list:
+    """cast applied to each token; DataError names the file and line."""
+    try:
+        return [cast(t) for t in tokens]
+    except ValueError as exc:
+        raise DataError(f"{path} line {ln}: bad {what}: {exc}") from exc
+
+
+def _edge_rows(path) -> list:
+    """The (a, b) node-id pair on each line: two ids separated by blanks
+    or a comma."""
+    pairs = []
+    for ln, line in _lines(path):
+        toks = line.replace(",", " ").split()
+        if len(toks) != 2:
+            raise DataError(f"{path} line {ln}: expected two node ids")
+        pairs.append(tuple(_parse(int, toks, "node id", path, ln)))
+    return pairs
+
+
+def _feature_rows(path, sep=None) -> list:
+    """(path, line, id, values) for each line: a node id, then its values."""
+    rows = []
+    for ln, line in _lines(path):
+        toks = line.split(sep)
+        (node,) = _parse(int, toks[:1], "node id", path, ln)
+        rows.append((path, ln, node, _parse(float, toks[1:], "feature value", path, ln)))
+    return rows
+
+
+def _feature_matrix(rows, index: dict) -> np.ndarray:
+    """Row index[id] holds the values of id's last row; an id without a row
+    keeps zeros, and rows of ids outside index are only checked. DataError
+    names the line of a row whose width differs from the first row's."""
+    width = len(rows[0][3]) if rows else 1
+    X = np.zeros((len(index), width))
+    for path, ln, node, values in rows:
+        if len(values) != width:
+            raise DataError(f"{path} line {ln}: expected {width} feature values, "
+                            f"got {len(values)}")
+        if node in index:
+            X[index[node]] = values
+    return X
+
+
 def _load_pickle(path: Path):
     with open(path, "rb") as fh:
-        return pickle.load(fh, encoding="latin1")
+        try:
+            return pickle.load(fh, encoding="latin1")
+        except Exception as exc:  # pickle names no closed set of errors for bad bytes
+            raise DataError(f"{path} is not a readable pickle: {exc!r}") from exc
 
 
 def load_planetoid(directory, name: str):
@@ -127,65 +184,53 @@ def load_planetoid(directory, name: str):
 
     The split is 20 labeled nodes per class for training (the first
     len(y) rows), the following 500 nodes for validation, and the file's
-    test indices for testing. Citeseer's isolated test nodes receive
-    zero feature rows and stay unlabeled, per the standard reindexing.
-    Features are row-normalized, as in Kipf & Welling's GCN, and stay a
-    scipy CSR matrix.
+    test indices for testing. Row j of ``tx`` and ``ty`` belongs to node
+    ``test_idx[j]``; the test range runs from len(allx) to the largest
+    test index, and a node in it that test.index does not list (one of
+    Citeseer's isolated test documents) gets a zero feature row and no
+    label. Features are row-normalized, as in Kipf & Welling's GCN, and
+    stay a scipy CSR matrix.
     """
     name = name.lower()
     if name not in EXPECTED_EDGES:
         raise DataError(f"unknown citation dataset {name!r}")
-    directory = Path(directory)
-    parts = {}
-    for part in PLANETOID_PARTS:
-        path = directory / f"ind.{name}.{part}"
+    paths = {part: Path(directory) / f"ind.{name}.{part}" for part in PLANETOID_PARTS}
+    for path in paths.values():
         if not path.exists():
             raise DataError(f"missing dataset file: {path}")
-        parts[part] = _load_pickle(path)
-    index_path = directory / f"ind.{name}.test.index"
-    if not index_path.exists():
-        raise DataError(f"missing dataset file: {index_path}")
-    test_idx = np.array(
-        [int(line) for line in _read_text(index_path).split()], dtype=np.int64
-    )
-    test_range = np.sort(test_idx)
+    index_path = paths.pop("test.index")
+    parts = {part: _load_pickle(path) for part, path in paths.items()}
+    test_idx = np.array([i for ln, line in _lines(index_path)
+                         for i in _parse(int, line.split(), "test index", index_path, ln)],
+                        dtype=np.int64)
 
     allx, tx = sp.csr_matrix(parts["allx"]), sp.csr_matrix(parts["tx"])
     ally, ty = np.asarray(parts["ally"]), np.asarray(parts["ty"])
     n_labeled_train = np.asarray(parts["y"]).shape[0]
-
-    full = int(test_range.max()) + 1
-    span = np.arange(test_range.min(), full)
-    if span.size != test_idx.size:
-        # Isolated test documents: pad features/labels with zero rows.
-        tx_full = sp.lil_matrix((span.size, tx.shape[1]))
-        tx_full[test_range - span.min(), :] = tx
-        tx = sp.csr_matrix(tx_full)
-        ty_full = np.zeros((span.size, ty.shape[1]))
-        ty_full[test_range - span.min(), :] = ty
-        ty = ty_full
-
-    onehot = np.vstack([ally, ty])
-    n = onehot.shape[0]
-    # Test rows are stored in sorted order; row test_idx[i] takes row
-    # test_range[i].
-    order = np.arange(n)
-    order[test_idx] = test_range
-    features = sp.vstack([allx, tx], format="csr")[order]
-    onehot = onehot[order]
+    start = allx.shape[0]
+    if test_idx.min() < start:
+        raise DataError(f"{index_path}: test index {test_idx.min()} is below "
+                        f"len(allx) = {start}")
+    n = int(test_idx.max()) + 1
+    place = sp.csr_matrix((np.ones(test_idx.size), (test_idx - start, np.arange(test_idx.size))),
+                          shape=(n - start, test_idx.size))
+    features = sp.vstack([allx, place @ tx], format="csr")
+    features.sort_indices()  # so that each row is summed in column order
+    onehot = np.vstack([ally, place @ ty])
 
     labels = np.full(n, UNLABELED, dtype=np.int64)
     has_label = onehot.sum(axis=1) > 0
     labels[has_label] = onehot[has_label].argmax(axis=1)
 
-    edges = [(u, v) for u, nbrs in parts["graph"].items() for v in nbrs]
-    graph = Graph.from_edge_list(
-        n,
-        edges,
-        features=_row_normalize(features),
-        labels=labels,
-        n_classes=onehot.shape[1],
-    )
+    adjacency = parts["graph"]
+    degree = np.fromiter(map(len, adjacency.values()), np.int64, len(adjacency))
+    edges = np.stack([
+        np.repeat(np.fromiter(adjacency, np.int64, len(adjacency)), degree),
+        np.fromiter(itertools.chain.from_iterable(adjacency.values()), np.int64,
+                    int(degree.sum())),
+    ], axis=1)
+    graph = Graph.from_edge_list(n, edges, features=_row_normalize(features),
+                                 labels=labels, n_classes=onehot.shape[1])
     expected = EXPECTED_EDGES[name]
     if abs(graph.n_edges - expected) > 0.01 * expected:
         warnings.warn(
@@ -194,14 +239,11 @@ def load_planetoid(directory, name: str):
         )
     # Canonical public split: first len(y) nodes train, next 500 validation.
     # Clipping matters only for reduced fixture datasets.
+    test = np.sort(test_idx)
     val_stop = min(n_labeled_train + 500, n)
-    validation = np.setdiff1d(np.arange(n_labeled_train, val_stop), test_range)
+    validation = np.setdiff1d(np.arange(n_labeled_train, val_stop), test)
     validation = validation[labels[validation] != UNLABELED]
-    splits = Splits(
-        train=np.arange(n_labeled_train),
-        validation=validation,
-        test=test_range,
-    )
+    splits = Splits(train=np.arange(n_labeled_train), validation=validation, test=test)
     return Dataset(graph, name), splits
 
 
@@ -212,40 +254,32 @@ def load_ego_facebook(directory, ego_id: int) -> Dataset:
     and the rest reindexed. Multi-circle nodes take their lowest-index
     circle as label. The ego node, which belongs to no circle, is
     therefore dropped unless a circle happens to list it; if one does,
-    it keeps its ``egofeat`` row and an edge to every other kept node.
-    Features are used as read.
+    it keeps its ``egofeat`` row (every value in that file) and an edge
+    to every other kept node. Features are used as read. '#' starts a
+    comment in every file.
     """
     directory = Path(directory)
 
-    def read(suffix):
-        path = directory / f"{ego_id}.{suffix}"
-        if not path.exists():
-            raise DataError(f"missing ego-network file: {path}")
-        return _read_text(path)
+    def path(suffix):
+        p = directory / f"{ego_id}.{suffix}"
+        if not p.exists():
+            raise DataError(f"missing ego-network file: {p}")
+        return p
 
-    feat_lines = read("feat").split("\n")
-    features = {}
-    for line in feat_lines:
-        if not line.strip():
-            continue
-        vals = line.split()
-        features[int(vals[0])] = np.array([float(v) for v in vals[1:]])
-    egofeat = read("egofeat").split()
-    if egofeat:
-        features[ego_id] = np.array([float(v) for v in egofeat])
+    rows = _feature_rows(path("feat"))
+    ego_path = path("egofeat")
+    ego_lines = list(_lines(ego_path))
+    if ego_lines:
+        values = [v for ln, line in ego_lines
+                  for v in _parse(float, line.split(), "feature value", ego_path, ln)]
+        rows.append((ego_path, ego_lines[0][0], ego_id, values))
 
-    circles = []
-    for line in read("circles").split("\n"):
-        if not line.strip():
-            continue
-        toks = line.split()
-        circles.append([int(t) for t in toks[1:]])
-
-    labels = {}
-    for node in features:
-        member_of = [i for i, c in enumerate(circles) if node in c]
-        if member_of:
-            labels[node] = min(member_of)
+    circles_path = path("circles")
+    first_circle = {}
+    for circle, (ln, line) in enumerate(_lines(circles_path)):
+        for node in _parse(int, line.split()[1:], "node id", circles_path, ln):
+            first_circle.setdefault(node, circle)
+    labels = {node: first_circle[node] for _, _, node, _ in rows if node in first_circle}
 
     kept = sorted(labels)
     if not kept:
@@ -255,32 +289,15 @@ def load_ego_facebook(directory, ego_id: int) -> Dataset:
     used_circles = sorted(set(labels.values()))
     class_of = {c: i for i, c in enumerate(used_circles)}
 
-    edges = []
-    for ln, line in enumerate(read("edges").split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            a, b = (int(t) for t in line.split())
-        except ValueError as exc:
-            raise DataError(f"{ego_id}.edges line {ln}: cannot parse") from exc
-        if a in index and b in index:
-            edges.append((index[a], index[b]))
+    edges = [(index[a], index[b]) for a, b in _edge_rows(path("edges"))
+             if a in index and b in index]
     if ego_id in index:
         edges.extend((index[ego_id], index[v]) for v in kept if v != ego_id)
 
-    X = np.stack([features[node] for node in kept])
     y = np.array([class_of[labels[node]] for node in kept], dtype=np.int64)
-    graph = Graph.from_edge_list(
-        len(kept), edges, features=X, labels=y, n_classes=len(used_circles)
-    )
+    graph = Graph.from_edge_list(len(kept), edges, features=_feature_matrix(rows, index),
+                                 labels=y, n_classes=len(used_circles))
     return Dataset(graph, f"{ego_id}Ego", node_ids=tuple(kept))
-
-
-def _parse_id(token: str, path, line_no: int) -> int:
-    try:
-        return int(token)
-    except ValueError as exc:
-        raise DataError(f"{path} line {line_no}: bad node id {token!r}") from exc
 
 
 def load_generic(edge_file, feature_file, label_file) -> Dataset:
@@ -293,48 +310,22 @@ def load_generic(edge_file, feature_file, label_file) -> Dataset:
     get zero rows, nodes without labels stay unlabeled. Features are
     used as read. '#' starts a comment in every file.
     """
-    def rows(path):
-        for ln, line in enumerate(_read_text(path).split("\n"), start=1):
-            line = line.split("#", 1)[0].strip()
-            if line:
-                yield ln, line
-
-    raw_edges = []
-    for ln, line in rows(edge_file):
-        toks = line.replace(",", " ").split()
-        if len(toks) != 2:
-            raise DataError(f"{edge_file} line {ln}: expected two node ids")
-        raw_edges.append((_parse_id(toks[0], edge_file, ln),
-                          _parse_id(toks[1], edge_file, ln)))
-
-    feats = {}
-    for ln, line in rows(feature_file):
-        toks = [t.strip() for t in line.split(",")]
-        node = _parse_id(toks[0], feature_file, ln)
-        try:
-            feats[node] = np.array([float(t) for t in toks[1:]])
-        except ValueError as exc:
-            raise DataError(f"{feature_file} line {ln}: bad feature value") from exc
-
+    raw_edges = _edge_rows(edge_file)
+    rows = _feature_rows(feature_file, ",")
     raw_labels = {}
-    for ln, line in rows(label_file):
+    for ln, line in _lines(label_file):
         toks = [t.strip() for t in line.split(",")]
         if len(toks) != 2:
             raise DataError(f"{label_file} line {ln}: expected 'id,label'")
-        raw_labels[_parse_id(toks[0], label_file, ln)] = toks[1]
+        (node,) = _parse(int, toks[:1], "node id", label_file, ln)
+        raw_labels[node] = toks[1]
 
-    ids = sorted(set(feats) | set(raw_labels)
+    ids = sorted({node for _, _, node, _ in rows} | set(raw_labels)
                  | {u for e in raw_edges for u in e})
     index = {node: i for i, node in enumerate(ids)}
     classes = sorted(set(raw_labels.values()))
     class_of = {c: i for i, c in enumerate(classes)}
 
-    dim = len(next(iter(feats.values()))) if feats else 1
-    X = np.zeros((len(ids), dim))
-    for node, vec in feats.items():
-        if vec.size != dim:
-            raise DataError(f"{feature_file}: inconsistent feature width for id {node}")
-        X[index[node]] = vec
     y = np.full(len(ids), UNLABELED, dtype=np.int64)
     for node, lab in raw_labels.items():
         y[index[node]] = class_of[lab]
@@ -342,7 +333,7 @@ def load_generic(edge_file, feature_file, label_file) -> Dataset:
     graph = Graph.from_edge_list(
         len(ids),
         [(index[a], index[b]) for a, b in raw_edges],
-        features=X,
+        features=_feature_matrix(rows, index),
         labels=y,
         n_classes=len(classes),
     )
@@ -352,8 +343,7 @@ def load_generic(edge_file, feature_file, label_file) -> Dataset:
             f"{graph.dropped_self_loops} self-loop edge lines"
         )
     name = Path(edge_file).resolve().parent.name or Path(edge_file).stem
-    return Dataset(graph, name, class_names=tuple(classes),
-                   node_ids=tuple(ids))
+    return Dataset(graph, name, node_ids=tuple(ids))
 
 
 def make_splits(dataset: Dataset, spec: SplitSpec, seed: int) -> Splits:

@@ -142,17 +142,18 @@ class Graph:
     def from_edge_list(cls, n_nodes, raw_edges, **kwargs) -> "Graph":
         """Build a graph from a possibly messy edge list.
 
-        Self-loops are dropped and repeated pairs, in either orientation,
-        collapsed; the counts of dropped lines are kept on the instance.
+        Every row is range-checked; then self-loops are dropped and
+        repeated pairs, in either orientation, collapsed. The counts of
+        dropped lines are kept on the instance.
         """
-        raw = np.asarray(list(raw_edges), dtype=np.int64).reshape(-1, 2)
-        loop_free = raw[raw[:, 0] != raw[:, 1]]
-        pairs, _ = _canonical_adjacency(n_nodes, loop_free)
+        raw = np.asarray(raw_edges, dtype=np.int64).reshape(-1, 2)
+        pairs, _ = _canonical_adjacency(n_nodes, raw)
+        loops = int(np.count_nonzero(raw[:, 0] == raw[:, 1]))
         return cls(
             n_nodes,
             pairs,
-            dropped_self_loops=raw.shape[0] - loop_free.shape[0],
-            dropped_duplicates=loop_free.shape[0] - pairs.shape[0],
+            dropped_self_loops=loops,
+            dropped_duplicates=raw.shape[0] - loops - pairs.shape[0],
             **kwargs,
         )
 

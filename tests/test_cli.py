@@ -138,6 +138,14 @@ def test_bad_config_key_exits_2(tmp_path, capsys, line):
     assert line.split()[0] in err
 
 
+@pytest.mark.parametrize("conf", sorted((REPO / "configs").glob("*.conf")),
+                         ids=lambda path: path.name)
+def test_shipped_config_parses(conf):
+    cfg = RunConfig.from_file(conf)
+    model = cfg.model_config()
+    assert (str(model.recipe), model.h1, model.h2) == (cfg.recipe, cfg.h1, cfg.h2)
+
+
 def test_run_config_defaults_are_the_library_defaults():
     assert RunConfig().model_config() == ModelConfig()
     assert RunConfig().split_spec() == SplitSpec()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from motifgcn.cli import main
 from motifgcn.data import (
     DataError,
     Dataset,
@@ -161,6 +162,23 @@ def test_load_planetoid_missing_file(tmp_path):
         load_planetoid(tmp_path, "webkb")
 
 
+@pytest.mark.parametrize("part, content, where", [
+    ("test.index", b"7\nseven\n", " line 2: bad test index"),
+    ("test.index", b"7\n5\n", ": test index 5 is below len(allx) = 6"),
+    ("x", b"garbage that is no pickle", " is not a readable pickle"),
+    ("x", b"", " is not a readable pickle"),
+], ids=["index-not-int", "index-below-allx", "garbage-pickle", "empty-pickle"])
+def test_malformed_planetoid_file_exits_1_naming_it(tmp_path, capsys, part, content,
+                                                     where):
+    make_planetoid_fixture(tmp_path)
+    bad = tmp_path / f"ind.cora.{part}"
+    bad.write_bytes(content)
+    code = main(["motif-stats", "--dataset", "planetoid:cora",
+                 "--data-root", str(tmp_path)])
+    assert code == 1
+    assert f"{bad}{where}" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- ego format
 
 def make_ego_fixture(tmp_path, ego=99):
@@ -191,6 +209,33 @@ def test_load_ego_fixture(tmp_path):
 def test_load_ego_missing_file(tmp_path):
     with pytest.raises(DataError, match="missing"):
         load_ego_facebook(tmp_path, 4242)
+
+
+@pytest.mark.parametrize("suffix, text, where", [
+    ("circles", "circle0 1 2 3\ncircle1 3 four\n", "line 2: bad node id"),
+    ("feat", "1 1 0\n2 0 x\n3 1 1\n", "line 2: bad feature value"),
+    ("feat", "1 1 0\n2 0 1\n3 1\n", "line 3: expected 2 feature values, got 1"),
+], ids=["circles-id-not-int", "feat-not-float", "feat-ragged"])
+def test_malformed_ego_file_exits_1_naming_file_and_line(tmp_path, capsys, suffix, text,
+                                                         where):
+    make_ego_fixture(tmp_path)
+    bad = write(tmp_path / f"99.{suffix}", text)
+    code = main(["motif-stats", "--dataset", "ego:99", "--data-root", str(tmp_path)])
+    assert code == 1
+    assert f"{bad} {where}" in capsys.readouterr().err
+
+
+def test_ego_files_take_comments(tmp_path):
+    make_ego_fixture(tmp_path)
+    plain = load_ego_facebook(tmp_path, 99)
+    for suffix in ("feat", "egofeat", "circles", "edges"):
+        path = tmp_path / f"99.{suffix}"
+        path.write_text("# header\n" + path.read_text().replace("\n", "  # note\n", 1))
+    commented = load_ego_facebook(tmp_path, 99)
+    assert commented.node_ids == plain.node_ids
+    assert np.array_equal(commented.graph.edges, plain.graph.edges)
+    assert np.array_equal(commented.graph.features, plain.graph.features)
+    assert np.array_equal(commented.graph.labels, plain.graph.labels)
 
 
 # -------------------------------------------------------------------- splits

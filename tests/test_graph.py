@@ -75,6 +75,8 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 1), (1, 0)])  # duplicate after canonicalization
     with pytest.raises(GraphError):  # before scipy's own ValueError
         Graph.from_edge_list(3, [(0, 5)])
+    with pytest.raises(GraphError, match="out of range"):  # not a dropped loop
+        Graph.from_edge_list(3, [(5, 5), (0, 1)])
 
 
 def test_from_edge_list_cleans_input():
@@ -119,8 +121,8 @@ def _reference(n, rows):
         error = "out of range"
     else:
         error = "self-loop" if loops else "duplicate" if dupes else None
-    # from_edge_list drops self-loops before the range check.
-    cleaning_error = "out of range" if out_of_range(loop_free) else None
+    # from_edge_list range-checks every row before it drops self-loops.
+    cleaning_error = "out of range" if out_of_range(rows) else None
     return error, cleaning_error, pairs, loops, dupes
 
 
