@@ -14,7 +14,6 @@ import json
 import sys
 import time
 from dataclasses import asdict
-from pathlib import Path
 
 from . import data as data_io
 from .config import ConfigError, RunConfig
@@ -141,14 +140,11 @@ def cmd_grid_search(cfg: RunConfig, args) -> int:
     if args.grid_seeds < 1:
         raise ConfigError("--grid-seeds must be >= 1")
     try:
-        text = Path(args.grid).read_text()
-    except (OSError, ValueError) as exc:
+        lines = list(data_io._lines(args.grid, ConfigError))
+    except OSError as exc:
         raise ConfigError(f"cannot read grid file {args.grid}: {exc}")
     grid = []
-    for ln, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in lines:
         try:
             grid.append(MixRecipe.parse(line))
         except ValueError as exc:
@@ -202,9 +198,9 @@ COMMON_FLAGS = {
     "dataset": {"help": "planetoid:<name>, ego:<id>, or generic"},
     "data-root": {},
     "recipe": {"help": "e.g. edge:8,triangle:1,wedge:2"},
-    "runs": {"type": int},
-    "seed": {"type": int},
-    "threads": {"type": int},
+    "runs": {},
+    "seed": {},
+    "threads": {},
     "out": {"help": "write the JSON report here instead of stdout"},
 }
 OVERRIDE_KEYS = tuple(f.replace("-", "_") for f in COMMON_FLAGS if f != "config")

@@ -1,9 +1,10 @@
 """Run configuration: a flat key-value file with CLI overrides.
 
-The file format is one ``key = value`` assignment per line; ``#`` starts
-a comment. Every key is validated against the schema below and unknown
-keys are rejected, so typos fail fast instead of silently using a
-default.
+The file format is one ``key = value`` assignment per line of UTF-8
+text; ``#`` starts a comment. Every key is a field of ``RunConfig``,
+cast to the type of its default, and unknown keys are rejected, so typos
+fail fast instead of silently using a default. File lines and CLI
+overrides go through the same cast, ``RunConfig._set``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .data import EXPECTED_EDGES, SplitSpec
+from .data import EXPECTED_EDGES, SplitSpec, _lines
 from .motifs import MixRecipe
 from .model import ModelConfig
 
@@ -69,48 +70,33 @@ class RunConfig:
     _config_dir: Path = field(default_factory=Path, repr=False)
 
     @classmethod
-    def schema(cls):
-        casts = {int: int, float: float, bool: _bool, str: str}
-        return {
-            f.name: casts[type(f.default)]
-            for f in fields(cls)
-            if not f.name.startswith("_")
-        }
-
-    @classmethod
     def from_file(cls, path) -> "RunConfig":
-        cfg = cls()
-        cfg._config_dir = Path(path).parent
-        schema = cls.schema()
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
-        for ln, raw in enumerate(text.split("\n"), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        cfg = cls(_config_dir=Path(path).parent)
+        for ln, line in _lines(path, ConfigError):
             if "=" not in line:
                 raise ConfigError(f"{path} line {ln}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in schema:
-                raise ConfigError(f"{path} line {ln}: unknown key {key!r}")
-            try:
-                setattr(cfg, key, schema[key](value))
-            except ValueError as exc:
-                raise ConfigError(f"{path} line {ln}: bad value for {key}: {exc}")
+            cfg._set(key, value, f"{path} line {ln}: ")
         cfg.validate()
         return cfg
 
     def apply_overrides(self, overrides: dict) -> None:
-        schema = self.schema()
         for key, value in overrides.items():
-            if value is None:
-                continue
-            if key not in schema:
-                raise ConfigError(f"unknown config key {key!r}")
-            setattr(self, key, schema[key](value))
+            if value is not None:
+                self._set(key, value, "")
         self.validate()
+
+    def _set(self, key: str, text, where: str) -> None:
+        """Cast ``text`` to the type of ``key``'s default and store it; a
+        ConfigError names an unknown key or a bad value after ``where``."""
+        defaults = {f.name: f.default for f in fields(self) if not f.name.startswith("_")}
+        if key not in defaults:
+            raise ConfigError(f"{where}unknown key {key!r}")
+        cast = _bool if isinstance(defaults[key], bool) else type(defaults[key])
+        try:
+            setattr(self, key, cast(text))
+        except ValueError as exc:
+            raise ConfigError(f"{where}bad value for {key}: {exc}") from exc
 
     def validate(self) -> None:
         kind, arg = self.dataset_kind(), self.dataset_arg()

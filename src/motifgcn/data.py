@@ -9,8 +9,9 @@ Three input formats are supported:
 * A generic whitespace/CSV format used for fixtures and tests (see
   docs/generic_format.md).
 
-All loaders remap external node IDs to contiguous integers [0, N) and
-keep the mapping on the Dataset.
+The ego and generic loaders remap external node IDs to contiguous
+integers [0, N) and keep the mapping as ``Dataset.node_ids``; Planetoid
+node IDs are already rows, so a Planetoid Dataset keeps no mapping.
 """
 
 from __future__ import annotations
@@ -109,18 +110,16 @@ def _row_normalize(X: sp.csr_matrix) -> sp.csr_matrix:
     return X
 
 
-def _read_text(path) -> str:
-    """The file's text, decoded as UTF-8; DataError names a file that is not."""
+def _lines(path, error=DataError):
+    """(line number, text) for each line of a UTF-8 text file that keeps
+    any text once its '#' comment and surrounding blanks are stripped.
+    Every file the user writes is read here: dataset files raise DataError
+    on bytes that are not UTF-8, config and grid files pass ConfigError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
-
-
-def _lines(path):
-    """(line number, text) for each line of a dataset text file that keeps
-    any text once its '#' comment and surrounding blanks are stripped."""
-    for ln, line in enumerate(_read_text(path).split("\n"), start=1):
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
+    for ln, line in enumerate(text.split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if line:
             yield ln, line
@@ -179,6 +178,33 @@ def _load_pickle(path: Path):
             raise DataError(f"{path} is not a readable pickle: {exc!r}") from exc
 
 
+def _check_planetoid_parts(paths, graph, n_train, allx, ally, tx, ty, test_idx):
+    """DataError naming the file of the first part that disagrees with the
+    others, so that no bad part surfaces later as a numpy error."""
+    start, n_test, label_shape = allx.shape[0], tx.shape[0], tx.shape[:1] + ally.shape[1:]
+    ordered = np.sort(test_idx)
+    repeated = np.unique(ordered[1:][np.diff(ordered) == 0]).tolist()
+    for part, bad, problem in [
+        ("graph", not isinstance(graph, dict),
+         f"holds a {type(graph).__name__}, not a dict of adjacency lists"),
+        ("y", n_train > start, f"has {n_train} rows, more than the {start} of {paths['allx']}"),
+        ("ally", ally.ndim != 2 or len(ally) != start,
+         f"has shape {ally.shape} but {paths['allx']} has {start} rows"),
+        ("allx", allx.shape[1] != tx.shape[1],
+         f"has {allx.shape[1]} columns but {paths['tx']} has {tx.shape[1]}"),
+        ("ty", ty.shape != label_shape,
+         f"has shape {ty.shape}, not {label_shape} as {paths['tx']} and {paths['ally']} have"),
+        ("test.index", test_idx.size == 0, "lists no test index"),
+        ("test.index", test_idx.size != n_test,
+         f"lists {test_idx.size} test indices for the {n_test} rows of {paths['tx']}"),
+        ("test.index", test_idx.min(initial=start) < start,
+         f"test index {test_idx.min(initial=start)} is below len(allx) = {start}"),
+        ("test.index", repeated, f"lists test indices {repeated} more than once"),
+    ]:
+        if bad:
+            raise DataError(f"{paths[part]}: {problem}")
+
+
 def load_planetoid(directory, name: str):
     """Load a citation network plus its canonical public split.
 
@@ -198,8 +224,8 @@ def load_planetoid(directory, name: str):
     for path in paths.values():
         if not path.exists():
             raise DataError(f"missing dataset file: {path}")
-    index_path = paths.pop("test.index")
-    parts = {part: _load_pickle(path) for part, path in paths.items()}
+    index_path = paths["test.index"]
+    parts = {part: _load_pickle(path) for part, path in paths.items() if part != "test.index"}
     test_idx = np.array([i for ln, line in _lines(index_path)
                          for i in _parse(int, line.split(), "test index", index_path, ln)],
                         dtype=np.int64)
@@ -208,9 +234,7 @@ def load_planetoid(directory, name: str):
     ally, ty = np.asarray(parts["ally"]), np.asarray(parts["ty"])
     n_labeled_train = np.asarray(parts["y"]).shape[0]
     start = allx.shape[0]
-    if test_idx.min() < start:
-        raise DataError(f"{index_path}: test index {test_idx.min()} is below "
-                        f"len(allx) = {start}")
+    _check_planetoid_parts(paths, parts["graph"], n_labeled_train, allx, ally, tx, ty, test_idx)
     n = int(test_idx.max()) + 1
     place = sp.csr_matrix((np.ones(test_idx.size), (test_idx - start, np.arange(test_idx.size))),
                           shape=(n - start, test_idx.size))
@@ -247,6 +271,23 @@ def load_planetoid(directory, name: str):
     return Dataset(graph, name), splits
 
 
+def _remapped(name, ids, edges, rows, labels: dict) -> Dataset:
+    """A Dataset over the external ``ids``, renumbered in sorted order, with
+    ``edges`` given as id pairs, feature ``rows`` as ``_feature_matrix``
+    takes them, and classes (``labels``: id -> class) numbered in sorted
+    order; an id without a class stays unlabeled."""
+    ids = sorted(ids)
+    index = {node: i for i, node in enumerate(ids)}
+    class_of = {c: i for i, c in enumerate(sorted(set(labels.values())))}
+    y = np.full(len(ids), UNLABELED, dtype=np.int64)
+    for node, label in labels.items():
+        y[index[node]] = class_of[label]
+    graph = Graph.from_edge_list(len(ids), [(index[a], index[b]) for a, b in edges],
+                                 features=_feature_matrix(rows, index), labels=y,
+                                 n_classes=len(class_of))
+    return Dataset(graph, name, node_ids=tuple(ids))
+
+
 def load_ego_facebook(directory, ego_id: int) -> Dataset:
     """Load one Facebook ego network with circle-derived labels.
 
@@ -280,24 +321,13 @@ def load_ego_facebook(directory, ego_id: int) -> Dataset:
         for node in _parse(int, line.split()[1:], "node id", circles_path, ln):
             first_circle.setdefault(node, circle)
     labels = {node: first_circle[node] for _, _, node, _ in rows if node in first_circle}
-
-    kept = sorted(labels)
-    if not kept:
+    if not labels:
         raise DataError(f"ego network {ego_id}: no labeled nodes after filtering")
-    index = {node: i for i, node in enumerate(kept)}
-    # Circles with no surviving member disappear; compact class ids.
-    used_circles = sorted(set(labels.values()))
-    class_of = {c: i for i, c in enumerate(used_circles)}
-
-    edges = [(index[a], index[b]) for a, b in _edge_rows(path("edges"))
-             if a in index and b in index]
-    if ego_id in index:
-        edges.extend((index[ego_id], index[v]) for v in kept if v != ego_id)
-
-    y = np.array([class_of[labels[node]] for node in kept], dtype=np.int64)
-    graph = Graph.from_edge_list(len(kept), edges, features=_feature_matrix(rows, index),
-                                 labels=y, n_classes=len(used_circles))
-    return Dataset(graph, f"{ego_id}Ego", node_ids=tuple(kept))
+    edges = [(a, b) for a, b in _edge_rows(path("edges")) if a in labels and b in labels]
+    if ego_id in labels:
+        edges.extend((ego_id, v) for v in labels if v != ego_id)
+    # A circle with no kept member gets no class id.
+    return _remapped(f"{ego_id}Ego", labels, edges, rows, labels)
 
 
 def load_generic(edge_file, feature_file, label_file) -> Dataset:
@@ -320,30 +350,14 @@ def load_generic(edge_file, feature_file, label_file) -> Dataset:
         (node,) = _parse(int, toks[:1], "node id", label_file, ln)
         raw_labels[node] = toks[1]
 
-    ids = sorted({node for _, _, node, _ in rows} | set(raw_labels)
-                 | {u for e in raw_edges for u in e})
-    index = {node: i for i, node in enumerate(ids)}
-    classes = sorted(set(raw_labels.values()))
-    class_of = {c: i for i, c in enumerate(classes)}
-
-    y = np.full(len(ids), UNLABELED, dtype=np.int64)
-    for node, lab in raw_labels.items():
-        y[index[node]] = class_of[lab]
-
-    graph = Graph.from_edge_list(
-        len(ids),
-        [(index[a], index[b]) for a, b in raw_edges],
-        features=_feature_matrix(rows, index),
-        labels=y,
-        n_classes=len(classes),
-    )
-    if graph.dropped_duplicates or graph.dropped_self_loops:
-        warnings.warn(
-            f"{edge_file}: dropped {graph.dropped_duplicates} duplicate and "
-            f"{graph.dropped_self_loops} self-loop edge lines"
-        )
+    ids = {node for _, _, node, _ in rows} | set(raw_labels) | {u for e in raw_edges for u in e}
     name = Path(edge_file).resolve().parent.name or Path(edge_file).stem
-    return Dataset(graph, name, node_ids=tuple(ids))
+    dataset = _remapped(name, ids, raw_edges, rows, raw_labels)
+    graph = dataset.graph
+    if graph.dropped_duplicates or graph.dropped_self_loops:
+        warnings.warn(f"{edge_file}: dropped {graph.dropped_duplicates} duplicate and "
+                      f"{graph.dropped_self_loops} self-loop edge lines")
+    return dataset
 
 
 def make_splits(dataset: Dataset, spec: SplitSpec, seed: int) -> Splits:

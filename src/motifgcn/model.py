@@ -301,8 +301,8 @@ def run_protocol(config: ModelConfig, dataset, splits, n_runs: int,
     }
 
 
-def grid_search(dataset, splits, ratio_grid, base_config: ModelConfig,
-                n_seeds: int = 5):
+def grid_search(dataset, splits, ratio_grid, base_config: ModelConfig, *,
+                n_seeds: int):
     """Pick the recipe with the best mean validation accuracy over seeds
     seed+0 ... seed+n_seeds-1.
 

@@ -81,7 +81,7 @@ def gradient_check(h1: int, h2: int, graph: Graph | None = None) -> float:
     return worst
 
 
-def oracle_check(n_graphs: int = 50, max_n: int = 25, *, seed: int) -> dict:
+def oracle_check(*, n_graphs: int, max_n: int, seed: int) -> dict:
     """Compare the triangle/wedge kernels against the brute-force oracle
     on random graphs drawn from ``seed``."""
     if max_n > 30:

@@ -367,18 +367,35 @@ def test_negative_seed_exits_2_before_any_file_is_read(tmp_path, capsys, command
     (None, "cannot read grid file {grid}: "),
     ("edge:1\n\n# a comment\nedgy:2\n", "{grid} line 4: cannot parse recipe component"),
     ("edge:nan\n", "{grid} line 1: "),
+    (b"edge:1 # caf\xe9\n", "{grid} is not UTF-8 text"),
 ])
 def test_bad_grid_file_exits_2(tmp_path, capsys, grid_text, message):
     # A grid file that is missing or holds a bad recipe is a configuration
     # error, as the same recipe given by --recipe is.
     grid = tmp_path / "grid.txt"
-    if grid_text is not None:
+    if isinstance(grid_text, bytes):  # not UTF-8 text
+        grid.write_bytes(grid_text)
+    elif grid_text is not None:
         grid.write_text(grid_text)
     code = main(["grid-search", "--config", FIXTURE_CONF, "--grid", str(grid)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert f"configuration error: {message.format(grid=grid)}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["protocol", "--config", FIXTURE_CONF, "--runs", "x"],
+    ["train", "--config", FIXTURE_CONF, "--seed", "abc"],
+])
+def test_non_integer_flag_exits_2(capsys, argv):
+    # A flag value goes through the same cast as the config key it
+    # overrides, so it fails with the same message.
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"configuration error: bad value for {argv[-2][2:]}: " in captured.err
 
 
 def test_oracle_check_bounds_accepted(capsys):

@@ -167,7 +167,17 @@ def test_load_planetoid_missing_file(tmp_path):
     ("test.index", b"7\n5\n", ": test index 5 is below len(allx) = 6"),
     ("x", b"garbage that is no pickle", " is not a readable pickle"),
     ("x", b"", " is not a readable pickle"),
-], ids=["index-not-int", "index-below-allx", "garbage-pickle", "empty-pickle"])
+    ("test.index", b"", ": lists no test index"),
+    ("test.index", b"7\n7\n", ": lists test indices [7] more than once"),
+    ("test.index", b"7\n", ": lists 1 test indices for the 2 rows of "),
+    ("ty", pickle.dumps(np.eye(3)[[1, 0]]), ": has shape (2, 3), not (2, 2) as "),
+    ("allx", pickle.dumps(sp.csr_matrix(np.ones((6, 5)))), ": has 5 columns but "),
+    ("y", pickle.dumps(np.eye(2)[[0] * 7]), ": has 7 rows, more than the 6 of "),
+    ("ally", pickle.dumps(np.eye(2)[[0, 1, 0, 1, 0]]), ": has shape (5, 2) but "),
+    ("graph", pickle.dumps([[1], [0]]), ": holds a list, not a dict of adjacency lists"),
+], ids=["index-not-int", "index-below-allx", "garbage-pickle", "empty-pickle",
+        "index-empty", "index-repeated", "index-short", "ty-wide", "allx-wide",
+        "y-long", "ally-short", "graph-list"])
 def test_malformed_planetoid_file_exits_1_naming_it(tmp_path, capsys, part, content,
                                                      where):
     make_planetoid_fixture(tmp_path)

@@ -333,7 +333,7 @@ def test_grid_search_needs_a_seed(small_dataset, small_splits):
 
 def test_grid_search_empty_grid(small_dataset, small_splits):
     with pytest.raises(ValueError):
-        grid_search(small_dataset, small_splits, [], ModelConfig())
+        grid_search(small_dataset, small_splits, [], ModelConfig(), n_seeds=2)
 
 
 # ------------------------------------------------------ sparse input path
