@@ -205,6 +205,26 @@ def _check_planetoid_parts(paths, graph, n_train, allx, ally, tx, ty, test_idx):
             raise DataError(f"{paths[part]}: {problem}")
 
 
+def _planetoid_edges(path: Path, adjacency: dict, n: int) -> np.ndarray:
+    """The pickled adjacency dict as an (m, 2) int64 array of (node,
+    neighbor) rows. DataError names ``path`` when a key or an adjacency
+    list is not made of node ids, or an id lies outside [0, n)."""
+    try:
+        degree = np.fromiter(map(len, adjacency.values()), np.int64, len(adjacency))
+        edges = np.stack([
+            np.repeat(np.fromiter(adjacency, np.int64, len(adjacency)), degree),
+            np.fromiter(itertools.chain.from_iterable(adjacency.values()), np.int64,
+                        int(degree.sum())),
+        ], axis=1)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: holds something other than lists of node ids: "
+                        f"{exc}") from exc
+    outside = edges[(edges < 0) | (edges >= n)]
+    if outside.size:
+        raise DataError(f"{path}: node id {outside[0]} is outside [0, {n})")
+    return edges
+
+
 def load_planetoid(directory, name: str):
     """Load a citation network plus its canonical public split.
 
@@ -246,13 +266,7 @@ def load_planetoid(directory, name: str):
     has_label = onehot.sum(axis=1) > 0
     labels[has_label] = onehot[has_label].argmax(axis=1)
 
-    adjacency = parts["graph"]
-    degree = np.fromiter(map(len, adjacency.values()), np.int64, len(adjacency))
-    edges = np.stack([
-        np.repeat(np.fromiter(adjacency, np.int64, len(adjacency)), degree),
-        np.fromiter(itertools.chain.from_iterable(adjacency.values()), np.int64,
-                    int(degree.sum())),
-    ], axis=1)
+    edges = _planetoid_edges(paths["graph"], parts["graph"], n)
     graph = Graph.from_edge_list(n, edges, features=_row_normalize(features),
                                  labels=labels, n_classes=onehot.shape[1])
     expected = EXPECTED_EDGES[name]

@@ -6,6 +6,20 @@ k < h1; the others are per-node perceptron layers. The last layer
 applies softmax (when h2 = 0 the last GCN layer takes it) and every
 earlier one ReLU. Training is full-batch Adam with early stopping on
 validation loss and best-epoch weight restoration.
+
+Each pass computes only the rows it reads, as GraphSAGE computes each
+layer on the neighbourhood sets its batch reaches (Hamilton, Ying and
+Leskovec 2017, Algorithm 2), here for the full batch. The last GCN
+layer computes the train rows in the training forward pass, the
+validation rows in the evaluation pass and the test rows in the final
+``evaluate``; an MLP layer needs the rows of the layer above it, and a
+lower GCN layer the rows S reaches from those. In backward, the
+gradient at the last GCN layer is nonzero on the train rows only and
+spreads by the same hops going down, so each GCN layer applies S
+restricted to those columns. ``train`` builds the restricted operators
+once per call; every array keeps all N rows, with zeros where nothing is
+computed, so dropout draws and the dense products round as on the full
+path, which ``forward`` and ``backward`` run when given no operators.
 """
 
 from __future__ import annotations
@@ -27,6 +41,8 @@ __all__ = [
     "TrainingDiverged",
     "build_model",
     "forward",
+    "row_operators",
+    "fit_operators",
     "train",
     "evaluate",
     "run_protocol",
@@ -112,13 +128,22 @@ def build_model(config: ModelConfig, graph: Graph,
 
 
 def forward(model: Model, X, training: bool = False, rng=None,
-            with_tape: bool = False):
+            with_tape: bool = False, operators=None):
     """Run the network; returns Z, or (Z, tape) when with_tape is set.
 
     X is a dense array or a scipy sparse matrix; a sparse X stays sparse
     through the first layer's dropout and ``Hin @ W``. Dropout hits each
     layer's input and is active only in training mode. The tape holds
     each layer's (dropped-out input, dropout mask, output).
+
+    ``operators`` holds, for each GCN layer k, the operator that layer
+    applies in place of the mixed operator: ``row_operators`` restricts
+    each to the rows that are read, so Z is right on those rows only.
+    Every array keeps all N rows, with zeros where nothing is computed,
+    so dropout draws and the dense products ``Hin @ W`` are the same as
+    on the full path. None applies the full operator at every layer, the
+    reference the restricted path equals bit for bit on the rows it
+    computes.
     """
     if X.shape[0] != model.mixed_matrix.shape[0]:
         raise ValueError("feature rows must match mixed-matrix dimension")
@@ -135,13 +160,14 @@ def forward(model: Model, X, training: bool = False, rng=None,
         with np.errstate(over="ignore"):
             pre = Hin @ W
         if k < h1:
-            pre = nn.spmm(model.mixed_matrix, pre)
+            pre = nn.spmm(model.mixed_matrix if operators is None else operators[k], pre)
         H = nn.softmax_rows(pre) if k == last else nn.relu(pre)
         tape.append((Hin, mask, H))
     return (H, tape) if with_tape else H
 
 
-def backward(model: Model, tape, labels: np.ndarray, train_idx: np.ndarray):
+def backward(model: Model, tape, labels: np.ndarray, train_idx: np.ndarray,
+             operators=None):
     """Analytic gradients of the masked cross-entropy + L2 term w.r.t. every W.
 
     The softmax output layer and the loss are fused: the pre-activation
@@ -149,6 +175,12 @@ def backward(model: Model, tape, labels: np.ndarray, train_idx: np.ndarray):
     with respect to the network input is never needed, so the pass stops
     at the first layer's weight gradient. Every layer below the output
     is ReLU.
+
+    ``d_pre`` is nonzero only on the train rows at the last GCN layer,
+    and on the rows S reaches from those one GCN layer down: the rows
+    ``forward`` computes for the train rows. ``operators`` holds, for
+    each GCN layer, S restricted to those columns (``fit_operators``);
+    None applies the full operator at every layer.
     """
     if len(tape) != len(model.weights):
         raise ValueError("tape length does not match layer count")
@@ -165,7 +197,7 @@ def backward(model: Model, tape, labels: np.ndarray, train_idx: np.ndarray):
         # pre = S (Hin W) with S symmetric, so dW = Hin^T (S dPre);
         # an MLP layer has pre = Hin W and dW = Hin^T dPre.
         if k < model.config.h1:
-            d_hw = nn.spmm(model.mixed_matrix, d_pre)
+            d_hw = nn.spmm(model.mixed_matrix if operators is None else operators[k], d_pre)
         else:
             d_hw = d_pre
         grads[k] = Hin.T @ d_hw
@@ -193,11 +225,37 @@ def regularized_loss(model: Model, Z: np.ndarray, labels, mask_idx) -> float:
 
 
 def evaluate(model: Model, X, labels: np.ndarray, mask) -> float:
-    """Fraction of masked nodes whose argmax prediction matches the label."""
+    """Fraction of masked nodes whose argmax prediction matches the label.
+    Only the masked rows are computed."""
     idx = nn.as_index(mask)
     if idx.size == 0:
         raise ValueError("evaluate: empty mask")
-    return _accuracy(forward(model, X, training=False), labels, idx)
+    Z = forward(model, X, training=False, operators=row_operators(model, idx))
+    return _accuracy(Z, labels, idx)
+
+
+def _layer_rows(model: Model, rows) -> list:
+    """The rows each GCN layer computes, in forward order, so that the
+    output is right on ``rows``. The last GCN layer computes ``rows``, as
+    the MLP layers above it work on each node by itself; each layer below
+    computes the rows S reaches from the rows of the layer above."""
+    sets = [np.unique(rows)]
+    for _ in range(model.config.h1 - 1):
+        sets.append(model.mixed_matrix.reach(sets[-1]))
+    return sets[::-1]
+
+
+def row_operators(model: Model, rows) -> list:
+    """``forward``'s operators for an output read on ``rows``."""
+    return [model.mixed_matrix.rows(r) for r in _layer_rows(model, rows)]
+
+
+def fit_operators(model: Model, train_idx) -> tuple[list, list]:
+    """``forward``'s and ``backward``'s operators for a loss read on
+    ``train_idx``: one row set per GCN layer serves both passes."""
+    sets = _layer_rows(model, train_idx)
+    S = model.mixed_matrix
+    return [S.rows(r) for r in sets], [S.columns(r) for r in sets]
 
 
 def _accuracy(Z: np.ndarray, labels, idx: np.ndarray) -> float:
@@ -225,6 +283,10 @@ def train(config: ModelConfig, dataset, splits,
         if idx.min() < 0 or idx.max() >= graph.n_nodes:
             raise ValueError(f"{name} split index out of range [0, {graph.n_nodes})")
     model = build_model(config, graph, mixed=mixed)
+    # Each pass computes only the rows it reads: training reads the train
+    # rows, evaluation the validation rows.
+    fit_ops, grad_ops = fit_operators(model, train_idx)
+    val_ops = row_operators(model, val_idx)
     rng = np.random.default_rng((config.seed, 0xD0))  # dropout stream
     X = graph.features
     y = graph.labels
@@ -237,15 +299,16 @@ def train(config: ModelConfig, dataset, splits,
     best_epoch = 0
     best_weights = None
     for epoch in range(1, config.max_epochs + 1):
-        Z, tape = forward(model, X, training=True, rng=rng, with_tape=True)
+        Z, tape = forward(model, X, training=True, rng=rng, with_tape=True,
+                          operators=fit_ops)
         loss = regularized_loss(model, Z, y, train_idx)
         if not np.isfinite(loss):
             raise TrainingDiverged(epoch)
-        grads = backward(model, tape, y, train_idx)
+        grads = backward(model, tape, y, train_idx, operators=grad_ops)
         for k, g in enumerate(grads):
             W[k], m[k], v[k] = nn.adam_step(W[k], m[k], v[k], g, config.learning_rate, epoch)
 
-        Z_eval = forward(model, X, training=False)
+        Z_eval = forward(model, X, training=False, operators=val_ops)
         val_loss = nn.cross_entropy_loss(Z_eval, y, val_idx)
         train_losses.append(loss)
         val_losses.append(val_loss)

@@ -27,6 +27,19 @@ which is the densest matrix in the model (up to 2·|E|·d_max entries).
 Only ``wedge_motif_matrix`` forms A²; as A² is symmetric, ``(A @ A).T``
 converted to CSR is A² with every row sorted, in one O(nnz) pass instead
 of a sort per row.
+
+A model often reads only some rows of S @ Y, so the operator also comes
+restricted. ``S.rows(R)`` computes the rows R alone, as
+``P[R] @ Y + c·s[R]∘(A[R][:, N1] @ (A[N1] @ (s∘Y)))`` with N1 the columns
+of A[R]; ``S.columns(R)`` computes S @ d for a d that is zero outside R,
+as ``P[:, R] @ d[R] + c·s∘(A[:, N1] @ (A[N1][:, R] @ (s[R]∘d[R])))`` with
+N1 the neighbors of R. Slicing keeps each row's stored order, so every
+product sums the same nonzero terms in the same order as the full one
+and the results are bit-identical to it. The column form slices columns
+rather than transposing P[R]: P is symmetric only up to rounding
+(s_i·a·s_j against s_j·a·s_i), so P[R].T holds other values.
+``S.reach(R)`` gives the rows S[R] reads, one hop through P's support
+and two through A with a wedge term.
 """
 
 from __future__ import annotations
@@ -52,6 +65,7 @@ __all__ = [
     "normalize_symmetric",
     "mix_matrices",
     "clustering_coefficient",
+    "clustering_from_counts",
     "triangle_count",
     "wedge_count",
 ]
@@ -312,7 +326,7 @@ class MixedOperator:
         """S @ Y as P @ Y + c·s∘(A @ (A @ (s∘Y))), for a dense Y."""
         out = self.P @ Y
         if self.c:
-            s = self.s.reshape((-1,) + (1,) * (np.ndim(Y) - 1))
+            s = _scaling(self.s, Y)
             far = self.A @ (self.A @ (s * Y))
             far *= self.c * s
             out += far
@@ -322,6 +336,173 @@ class MixedOperator:
         """S materialized as frozen canonical CSR, A² entries included."""
         Ds = sp.diags(self.s)
         return freeze_csr(self.P + self.c * (Ds @ (self.A @ self.A) @ Ds))
+
+    def reach(self, rows: np.ndarray) -> np.ndarray:
+        """Sorted nodes j with S[i, j] stored for some i in ``rows``: the
+        rows of Y that S[rows] @ Y reads. S's pattern is symmetric, so
+        they are also the rows where S @ d can be nonzero when d is zero
+        outside ``rows``. That is one hop through P's support (A ∪ diag),
+        and two through A when the mix has a wedge term."""
+        hit = np.zeros(self.shape[0], dtype=bool)
+        hit[self.P[rows].indices] = True
+        if self.c:
+            hit[self.A[_columns_of(self.A[rows])].indices] = True
+        return np.flatnonzero(hit)
+
+    def rows(self, rows: np.ndarray):
+        """An operator equal to S on ``rows`` (sorted, distinct): a
+        ``RowRestricted``, or S itself when that would read more than
+        ``FULL_FRACTION`` of S's values."""
+        near = self._small_restriction(rows)
+        if near is None:
+            return self
+        return RowRestricted(self.shape, rows, self.P[rows], self.A[rows][:, near],
+                             self.A[near], self.s, self.c)
+
+    def columns(self, columns: np.ndarray):
+        """An operator whose product with any d that is zero outside
+        ``columns`` (sorted, distinct) equals S @ d: a ``ColumnRestricted``,
+        or S itself when that would read more than ``FULL_FRACTION`` of
+        S's values."""
+        near = self._small_restriction(columns)
+        if near is None:
+            return self
+        return ColumnRestricted(self.shape, columns, self.P[:, columns],
+                                self.A[near][:, columns], self.A[:, near], self.s, self.c)
+
+    def _small_restriction(self, nodes: np.ndarray):
+        """N1, the sorted neighbors in A of ``nodes`` (empty without a
+        wedge term), or None when S restricted to the rows or columns
+        ``nodes`` would read more than ``FULL_FRACTION`` of S's values.
+        Such a restriction reads P's and A's rows at ``nodes`` and A's
+        rows at N1; as the patterns of P and A are symmetric, a column
+        slice holds as many values as the row slice."""
+        if nodes.size == self.shape[0]:
+            return None
+        if not self.c:
+            near = nodes[:0]
+            reads = _row_nnz(self.P, nodes)
+        else:
+            near = _columns_of(self.A[nodes])
+            reads = _row_nnz(self.P, nodes) + _row_nnz(self.A, nodes) + _row_nnz(self.A, near)
+        return None if reads > FULL_FRACTION * self.nnz else near
+
+
+# A restricted operator that would read more than this share of the full
+# operator's values is not built: it applies little faster than the full
+# one, and on the 50k-node benchmark graph building a near-full one cost
+# a third to a half of a full apply.
+FULL_FRACTION = 0.75
+
+
+def _columns_of(M: sp.csr_matrix) -> np.ndarray:
+    """Sorted distinct column indices stored in M."""
+    hit = np.zeros(M.shape[1], dtype=bool)
+    hit[M.indices] = True
+    return np.flatnonzero(hit)
+
+
+def _row_nnz(M: sp.csr_matrix, rows: np.ndarray) -> int:
+    return int((M.indptr[rows + 1] - M.indptr[rows]).sum())
+
+
+def _scaling(s: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """s shaped to broadcast over the rows of Y."""
+    return s.reshape((-1,) + (1,) * (np.ndim(Y) - 1))
+
+
+@dataclass(frozen=True, eq=False)
+class RowRestricted:
+    """S with every row outside ``rows`` zeroed: ``(self @ Y)[rows]`` is
+    ``(S @ Y)[rows]`` bit for bit, and every other row is 0.
+
+    S[R] @ Y = P[R] @ Y + c·s[R]∘(A[R][:, N1] @ (A[N1] @ (s∘Y))), where N1
+    is the sorted set of columns of A[R]. Each product sums the same
+    terms in the same order as the full one, less terms that are exactly
+    zero there, so the rows come out bit-identical.
+
+    Attributes:
+        shape: the full operator's shape.
+        rows: R, sorted and distinct.
+        P: P[R].
+        A_rows: A[R][:, N1].
+        A_near: A[N1].
+        s, c: the full operator's wedge scaling and weight.
+
+    N1 is empty without a wedge term (c = 0).
+    """
+
+    shape: tuple
+    rows: np.ndarray
+    P: sp.csr_matrix
+    A_rows: sp.csr_matrix
+    A_near: sp.csr_matrix
+    s: np.ndarray
+    c: float
+
+    @property
+    def nnz(self) -> int:
+        """Stored values one apply reads per column of its argument."""
+        return self.P.nnz + self.A_rows.nnz + self.A_near.nnz
+
+    def __matmul__(self, Y: np.ndarray) -> np.ndarray:
+        near = self.P @ Y
+        if self.c:
+            s = _scaling(self.s, Y)
+            far = self.A_rows @ (self.A_near @ (s * Y))
+            far *= self.c * s[self.rows]
+            near += far
+        out = np.zeros((self.shape[0],) + np.shape(Y)[1:])
+        out[self.rows] = near
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnRestricted:
+    """S with every column outside ``columns`` zeroed: ``self @ d`` is
+    ``S @ d`` bit for bit whenever d is zero outside ``columns``.
+
+    S[:, R] @ d[R] = P[:, R] @ d[R] + c·s∘(A[:, N1] @ (A[N1][:, R] @
+    (s[R]∘d[R]))), where N1 is the sorted set of nodes adjacent to R. The
+    slices are column slices of P and A, never transposed row slices: P
+    is symmetric only up to rounding (s_i·a·s_j against s_j·a·s_i), so
+    P[R].T would hold other values than P[:, R]. A column slice keeps
+    each row's stored order, so every product sums the same terms in the
+    same order as the full one, less the ones where d is zero.
+
+    Attributes:
+        shape: the full operator's shape.
+        columns: R, sorted and distinct.
+        P: P[:, R].
+        A_near: A[N1][:, R].
+        A_cols: A[:, N1].
+        s, c: the full operator's wedge scaling and weight.
+
+    N1 is empty without a wedge term (c = 0).
+    """
+
+    shape: tuple
+    columns: np.ndarray
+    P: sp.csr_matrix
+    A_near: sp.csr_matrix
+    A_cols: sp.csr_matrix
+    s: np.ndarray
+    c: float
+
+    @property
+    def nnz(self) -> int:
+        """Stored values one apply reads per column of its argument."""
+        return self.P.nnz + self.A_near.nnz + self.A_cols.nnz
+
+    def __matmul__(self, d: np.ndarray) -> np.ndarray:
+        d = d[self.columns]
+        out = self.P @ d
+        if self.c:
+            s = _scaling(self.s, d)
+            far = self.A_cols @ (self.A_near @ (s[self.columns] * d))
+            far *= self.c * s
+            out += far
+        return out
 
 
 def mix_matrices(recipe: MixRecipe, graph: Graph) -> MixedOperator:
@@ -374,7 +555,11 @@ def wedge_count(graph: Graph) -> int:
 
 def clustering_coefficient(graph: Graph) -> float:
     """Global clustering coefficient: 3 * triangles / wedges."""
-    wedges = wedge_count(graph)
+    return clustering_from_counts(triangle_count(graph), wedge_count(graph))
+
+
+def clustering_from_counts(triangles: int, wedges: int) -> float:
+    """3 * triangles / wedges; MotifError when there is no wedge."""
     if wedges == 0:
         raise MotifError("undefined clustering coefficient: graph has no wedges")
-    return 3.0 * triangle_count(graph) / wedges
+    return 3.0 * triangles / wedges

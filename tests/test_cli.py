@@ -14,6 +14,7 @@ from motifgcn.config import RunConfig
 from motifgcn.data import SplitSpec
 from motifgcn.model import ModelConfig
 from motifgcn.modelfile import load_model
+from motifgcn.motifs import clustering_coefficient, triangle_count
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURE_CONF = str(REPO / "configs" / "fixture.conf")
@@ -69,6 +70,25 @@ def test_motif_stats_fixture(capsys):
     assert payload["dataset"] == "two_community"
     assert payload["wedge_nnz_within_bound"] is True
     assert payload["nnz"]["wedge"] <= payload["bound_2ED"]
+
+
+def test_motif_stats_counts_equal_the_library(tmp_path, capsys):
+    # motif-stats reads the triangle count off the triangle matrix's
+    # diagonal; it must equal the library's count.
+    g = verify.random_graph(np.random.default_rng(3), 40, 0.2)
+    conf = tmp_path / "g.conf"
+    conf.write_text("dataset = generic\nedges_file = edges.txt\n"
+                    "features_file = features.csv\nlabels_file = labels.csv\n")
+    (tmp_path / "edges.txt").write_text("".join(f"{a} {b}\n" for a, b in g.edges))
+    (tmp_path / "features.csv").write_text("".join(f"{v},1.0\n" for v in range(40)))
+    (tmp_path / "labels.csv").write_text("".join(f"{v},{v % 2}\n" for v in range(40)))
+    code, payload = run(capsys, "motif-stats", "--config", str(conf))
+    assert code == 0
+    assert payload["triangles"] == triangle_count(g) > 0
+    assert payload["clustering_coefficient"] == clustering_coefficient(g)
+    (tmp_path / "edges.txt").write_text("0 1\n2 3\n")  # no two edges share a node
+    assert main(["motif-stats", "--config", str(conf)]) == 1
+    assert "graph has no wedges" in capsys.readouterr().err
 
 
 def test_motif_stats_builds_no_split(tmp_path, capsys):

@@ -175,9 +175,11 @@ def test_load_planetoid_missing_file(tmp_path):
     ("y", pickle.dumps(np.eye(2)[[0] * 7]), ": has 7 rows, more than the 6 of "),
     ("ally", pickle.dumps(np.eye(2)[[0, 1, 0, 1, 0]]), ": has shape (5, 2) but "),
     ("graph", pickle.dumps([[1], [0]]), ": holds a list, not a dict of adjacency lists"),
+    ("graph", pickle.dumps({0: 1, 1: 0}), ": holds something other than lists of node ids"),
+    ("graph", pickle.dumps({0: [1, 99], 1: [0]}), ": node id 99 is outside [0, 8)"),
 ], ids=["index-not-int", "index-below-allx", "garbage-pickle", "empty-pickle",
         "index-empty", "index-repeated", "index-short", "ty-wide", "allx-wide",
-        "y-long", "ally-short", "graph-list"])
+        "y-long", "ally-short", "graph-list", "graph-int-lists", "graph-id-out-of-range"])
 def test_malformed_planetoid_file_exits_1_naming_it(tmp_path, capsys, part, content,
                                                      where):
     make_planetoid_fixture(tmp_path)

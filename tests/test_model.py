@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from motifgcn.data import SplitSpec, Splits, load_planetoid, make_splits
 from motifgcn.graph import Graph, build_adjacency
-from motifgcn import model as model_module
+from motifgcn import model as model_module, motifs
 from motifgcn.motifs import MixRecipe, normalize_symmetric
 from motifgcn.model import (
     ModelConfig,
@@ -16,6 +16,7 @@ from motifgcn.model import (
     backward,
     build_model,
     evaluate,
+    fit_operators,
     forward,
     grid_search,
     run_protocol,
@@ -422,3 +423,58 @@ def test_train_deterministic_with_sparse_features(tmp_path):
     assert r1.val_losses == r2.val_losses
     assert r1.best_epoch == r2.best_epoch
     assert r1.test_accuracy == r2.test_accuracy
+
+
+# ---------------------------------------------- restricted rows, full path
+
+def full_path_runs(monkeypatch, config, dataset, splits):
+    """(report, weights, protocol) of train and run_protocol with every
+    operator restricted to the rows it must compute, then with none (a
+    negative FULL_FRACTION makes every restriction fall back to S)."""
+    runs = []
+    for fraction in (np.inf, -1.0):
+        monkeypatch.setattr(motifs, "FULL_FRACTION", fraction)
+        m, report = train(config, dataset, splits)
+        runs.append((report, m.weights,
+                     run_protocol(config, dataset, splits, n_runs=3, threads=2)))
+    return runs
+
+
+@pytest.mark.parametrize("h1, h2, recipe", [(1, 0, MIXED), (2, 1, MIXED), (2, 0, EDGE_ONLY)])
+def test_train_equals_full_path(small_dataset, small_splits, monkeypatch, h1, h2, recipe):
+    config = ModelConfig(h1=h1, h2=h2, hidden_dim=8, recipe=recipe, max_epochs=30, seed=3)
+    (report, weights, protocol), (report_full, weights_full, protocol_full) = (
+        full_path_runs(monkeypatch, config, small_dataset, small_splits))
+    assert report == report_full
+    assert protocol == protocol_full
+    assert all(np.array_equal(w, w_full) for w, w_full in zip(weights, weights_full))
+
+
+def test_train_equals_full_path_with_sparse_features(tmp_path, monkeypatch):
+    write_planetoid_layout(tmp_path)
+    with pytest.warns(UserWarning, match="published"):
+        ds, splits = load_planetoid(tmp_path, "cora")
+    config = ModelConfig(h1=2, h2=1, recipe=MIXED, seed=9, max_epochs=30)
+    (report, weights, protocol), (report_full, weights_full, protocol_full) = (
+        full_path_runs(monkeypatch, config, ds, splits))
+    assert report == report_full
+    assert protocol == protocol_full
+    assert all(np.array_equal(w, w_full) for w, w_full in zip(weights, weights_full))
+
+
+def test_gradient_check_through_restricted_operators(monkeypatch):
+    # gradient_check trains on the even nodes. The odd nodes hang off them
+    # in chains, so the train rows reach some in one hop, more in two
+    # (through the wedge term), and nodes 5 and 15 never: no operator that
+    # train builds is the full one.
+    rng = np.random.default_rng(5)
+    pairs = 2 * np.argwhere(np.triu(rng.random((8, 8)) < 0.5, 1))
+    chains = [(0, 1), (1, 3), (3, 5), (2, 7), (7, 9), (4, 11), (11, 13), (13, 15)]
+    g = Graph(16, np.vstack([pairs, chains]), features=rng.standard_normal((16, 6)),
+              labels=rng.integers(0, 3, 16), n_classes=3)
+    monkeypatch.setattr(motifs, "FULL_FRACTION", np.inf)
+    for h1, h2 in ((2, 1), (1, 0)):
+        m = build_model(ModelConfig(h1=h1, h2=h2, recipe=MIXED), g)
+        fit_ops, grad_ops = fit_operators(m, np.arange(0, 16, 2))
+        assert all(op is not m.mixed_matrix for op in fit_ops + grad_ops)
+        assert gradient_check(h1, h2, graph=g) < 1e-6

@@ -1,14 +1,19 @@
 """Property tests: kernels against the brute-force oracle, the mixed
-operator against the materialized mix, its symmetry and norm bound, and
-the recipe text round trip."""
+operator against the materialized mix, its symmetry and norm bound, the
+restricted passes against the full ones, and the recipe text round
+trip."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
+from motifgcn import motifs
 from motifgcn.graph import Graph, build_adjacency, check_symmetric
+from motifgcn.model import ModelConfig, backward, build_model, fit_operators, forward, row_operators
 from motifgcn.motifs import (
     MatrixSource,
     MixRecipe,
@@ -117,6 +122,62 @@ def test_mix_symmetric_with_spectral_norm_at_most_one(g, edge, triangle, wedge):
         M = mix_matrices(recipe, g).to_scipy()
     check_symmetric(M, 1e-12)
     assert np.abs(np.linalg.eigvalsh(M.toarray())).max() <= 1 + 1e-9
+
+
+def with_features(g, sparse):
+    """g with 3 features per node (a third of them 0) and 2 label classes."""
+    rng = np.random.default_rng(g.n_nodes)
+    X = rng.standard_normal((g.n_nodes, 3)) * (rng.random((g.n_nodes, 3)) < 0.67)
+    return Graph(g.n_nodes, g.edges, features=sp.csr_matrix(X) if sparse else X,
+                 labels=rng.integers(0, 2, g.n_nodes), n_classes=2)
+
+
+node_lists = st.lists(st.integers(0, 11), min_size=1, max_size=6)
+CHAIN = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7)])  # node 8 isolated
+
+
+@PROPERTY
+@given(graphs(), st.sampled_from(RECIPE_SHAPES), st.integers(1, 2), st.integers(0, 1),
+       st.booleans(), node_lists, node_lists, st.sampled_from([motifs.FULL_FRACTION, np.inf]))
+@example(CHAIN, ALL_THREE, 2, 1, False, [0], [5, 8], np.inf)  # reach stops inside the chain
+@example(CHAIN, ALL_THREE, 2, 1, True, [8], [8], np.inf)  # a train node without neighbors
+@example(CHAIN, ("edge",), 2, 0, False, [2, 7], [4], np.inf)  # no wedge term
+@example(Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3)]), ALL_THREE, 2, 1, True, [5, 0], [6],
+         np.inf)  # nodes 4-6 isolated
+@example(star(5), ALL_THREE, 2, 1, False, [0], [0], np.inf)  # the hub reaches every node
+@example(star(5), ("wedge",), 2, 0, True, [3], [1, 2], motifs.FULL_FRACTION)
+def test_restricted_passes_equal_full_path(g, sources, h1, h2, sparse, train, read,
+                                           fraction):
+    """Forward on the rows that are read, and the training gradients, equal
+    the full path bit for bit, whether or not near-full operators fall back
+    to the full one."""
+    g = with_features(g, sparse)
+    recipe = MixRecipe(tuple(zip(sources, [8.0, 1.0, 2.0])))
+    config = ModelConfig(h1=h1, h2=h2, hidden_dim=4, recipe=recipe, seed=g.n_nodes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # all-zero motif components are dropped
+        try:
+            m = build_model(config, g)
+        except MotifError:  # no usable component
+            return
+    train = np.unique(np.array(train) % g.n_nodes)
+    read = np.unique(np.array(read) % g.n_nodes)
+    with mock.patch.object(motifs, "FULL_FRACTION", fraction):
+        fit_ops, grad_ops = fit_operators(m, train)
+        read_ops = row_operators(m, read)
+
+    X, y = g.features, g.labels
+    assert np.array_equal(forward(m, X, operators=read_ops)[read], forward(m, X)[read])
+    Z, tape = forward(m, X, training=True, rng=np.random.default_rng(0), with_tape=True,
+                      operators=fit_ops)
+    Z_full, tape_full = forward(m, X, training=True, rng=np.random.default_rng(0),
+                                with_tape=True)
+    assert np.array_equal(Z[train], Z_full[train])
+    for grad, grad_full in zip(backward(m, tape, y, train, operators=grad_ops),
+                               backward(m, tape_full, y, train)):
+        assert np.array_equal(grad, grad_full)
+    for op in fit_ops + grad_ops + read_ops:
+        assert op.shape == m.mixed_matrix.shape and op.nnz <= m.mixed_matrix.nnz
 
 
 recipes = st.lists(
