@@ -16,10 +16,13 @@ validation rows in the evaluation pass and the test rows in the final
 lower GCN layer the rows S reaches from those. In backward, the
 gradient at the last GCN layer is nonzero on the train rows only and
 spreads by the same hops going down, so each GCN layer applies S
-restricted to those columns. ``train`` builds the restricted operators
-once per call; every array keeps all N rows, with zeros where nothing is
-computed, so dropout draws and the dense products round as on the full
-path, which ``forward`` and ``backward`` run when given no operators.
+restricted to those columns. ``train`` walks down the GCN layers once
+per split (``MixedOperator.walk``), which finds each layer's rows and
+their neighbours once, and builds that split's restricted operators
+from the walk. Every array keeps all N rows, with zeros where nothing
+is computed, so dropout draws and the dense products round as on the
+full path, which ``forward`` and ``backward`` run when given no
+operators.
 """
 
 from __future__ import annotations
@@ -234,28 +237,18 @@ def evaluate(model: Model, X, labels: np.ndarray, mask) -> float:
     return _accuracy(Z, labels, idx)
 
 
-def _layer_rows(model: Model, rows) -> list:
-    """The rows each GCN layer computes, in forward order, so that the
-    output is right on ``rows``. The last GCN layer computes ``rows``, as
-    the MLP layers above it work on each node by itself; each layer below
-    computes the rows S reaches from the rows of the layer above."""
-    sets = [np.unique(rows)]
-    for _ in range(model.config.h1 - 1):
-        sets.append(model.mixed_matrix.reach(sets[-1]))
-    return sets[::-1]
-
-
 def row_operators(model: Model, rows) -> list:
     """``forward``'s operators for an output read on ``rows``."""
-    return [model.mixed_matrix.rows(r) for r in _layer_rows(model, rows)]
+    S = model.mixed_matrix
+    return [S.rows(*step) for step in S.walk(np.unique(rows), model.config.h1)]
 
 
 def fit_operators(model: Model, train_idx) -> tuple[list, list]:
     """``forward``'s and ``backward``'s operators for a loss read on
-    ``train_idx``: one row set per GCN layer serves both passes."""
-    sets = _layer_rows(model, train_idx)
+    ``train_idx``: one walk serves both passes."""
     S = model.mixed_matrix
-    return [S.rows(r) for r in sets], [S.columns(r) for r in sets]
+    steps = S.walk(np.unique(train_idx), model.config.h1)
+    return [S.rows(*step) for step in steps], [S.columns(*step) for step in steps]
 
 
 def _accuracy(Z: np.ndarray, labels, idx: np.ndarray) -> float:

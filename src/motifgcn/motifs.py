@@ -29,17 +29,19 @@ converted to CSR is A² with every row sorted, in one O(nnz) pass instead
 of a sort per row.
 
 A model often reads only some rows of S @ Y, so the operator also comes
-restricted. ``S.rows(R)`` computes the rows R alone, as
-``P[R] @ Y + c·s[R]∘(A[R][:, N1] @ (A[N1] @ (s∘Y)))`` with N1 the columns
-of A[R]; ``S.columns(R)`` computes S @ d for a d that is zero outside R,
-as ``P[:, R] @ d[R] + c·s∘(A[:, N1] @ (A[N1][:, R] @ (s[R]∘d[R])))`` with
-N1 the neighbors of R. Slicing keeps each row's stored order, so every
-product sums the same nonzero terms in the same order as the full one
-and the results are bit-identical to it. The column form slices columns
-rather than transposing P[R]: P is symmetric only up to rounding
-(s_i·a·s_j against s_j·a·s_i), so P[R].T holds other values.
-``S.reach(R)`` gives the rows S[R] reads, one hop through P's support
-and two through A with a wedge term.
+restricted, as one ``Restricted`` type that keeps either every row or
+every column. ``S.walk(R, depth)`` goes down ``depth`` stacked applies
+whose output is read on R and gives, for each, the rows it computes and
+N1, their neighbors in A, found once per row set. ``S.rows(R, N1)``
+computes the rows R alone, as
+``P[R] @ Y + c·s[R]∘(A[R][:, N1] @ (A[N1] @ (s∘Y)))``; ``S.columns(R, N1)``
+computes S @ d for a d that is zero outside R, as
+``P[:, R] @ d[R] + c·s∘(A[:, N1] @ (A[N1][:, R] @ (s[R]∘d[R])))``.
+Slicing keeps each row's stored order, so every product sums the same
+nonzero terms in the same order as the full one and the results are
+bit-identical to it. The column form slices columns rather than
+transposing P[R]: P is symmetric only up to rounding (s_i·a·s_j against
+s_j·a·s_i), so P[R].T holds other values.
 """
 
 from __future__ import annotations
@@ -337,55 +339,50 @@ class MixedOperator:
         Ds = sp.diags(self.s)
         return freeze_csr(self.P + self.c * (Ds @ (self.A @ self.A) @ Ds))
 
-    def reach(self, rows: np.ndarray) -> np.ndarray:
-        """Sorted nodes j with S[i, j] stored for some i in ``rows``: the
-        rows of Y that S[rows] @ Y reads. S's pattern is symmetric, so
-        they are also the rows where S @ d can be nonzero when d is zero
-        outside ``rows``. That is one hop through P's support (A ∪ diag),
-        and two through A when the mix has a wedge term."""
-        hit = np.zeros(self.shape[0], dtype=bool)
-        hit[self.P[rows].indices] = True
+    def walk(self, rows: np.ndarray, depth: int) -> list:
+        """(R, N1) for each of ``depth`` stacked applies of S whose last
+        output is read on ``rows`` (sorted, distinct), in apply order. R
+        is the rows an apply computes and N1 the sorted neighbors in A of
+        R, empty without a wedge term. The last apply computes ``rows``;
+        each one below computes the rows S[R] reads from the one above:
+        one hop through P's support (A ∪ diag) and, with a wedge term, a
+        second through A from N1. S's pattern is symmetric, so these are
+        also the rows where S @ d can be nonzero for a d that is zero
+        outside the R above."""
+        steps = []
+        while True:
+            near = _columns_of(self.A[rows]) if self.c else rows[:0]
+            steps.append((rows, near))
+            if len(steps) == depth:
+                return steps[::-1]
+            hit = np.zeros(self.shape[0], dtype=bool)
+            hit[self.P[rows].indices] = True
+            hit[self.A[near].indices] = True
+            rows = np.flatnonzero(hit)
+
+    def rows(self, rows: np.ndarray, near: np.ndarray):
+        """S restricted to the rows ``rows``, with N1 ``near`` from ``walk``."""
+        return self._restricted(rows, None, near)
+
+    def columns(self, columns: np.ndarray, near: np.ndarray):
+        """S restricted to the columns ``columns``, with N1 ``near`` from ``walk``."""
+        return self._restricted(None, columns, near)
+
+    def _restricted(self, rows, columns, near):
+        """A ``Restricted``, or S itself when that would read more than
+        ``FULL_FRACTION`` of S's values. It reads P's rows at the
+        restricted nodes and, with a wedge term, A's rows there and at N1;
+        the patterns of P and A are symmetric, so a column slice holds as
+        many values as a row slice."""
+        nodes = columns if rows is None else rows
+        reads = _row_nnz(self.P, nodes) + _row_nnz(self.A, near)
         if self.c:
-            hit[self.A[_columns_of(self.A[rows])].indices] = True
-        return np.flatnonzero(hit)
-
-    def rows(self, rows: np.ndarray):
-        """An operator equal to S on ``rows`` (sorted, distinct): a
-        ``RowRestricted``, or S itself when that would read more than
-        ``FULL_FRACTION`` of S's values."""
-        near = self._small_restriction(rows)
-        if near is None:
+            reads += _row_nnz(self.A, nodes)
+        if nodes.size == self.shape[0] or reads > FULL_FRACTION * self.nnz:
             return self
-        return RowRestricted(self.shape, rows, self.P[rows], self.A[rows][:, near],
-                             self.A[near], self.s, self.c)
-
-    def columns(self, columns: np.ndarray):
-        """An operator whose product with any d that is zero outside
-        ``columns`` (sorted, distinct) equals S @ d: a ``ColumnRestricted``,
-        or S itself when that would read more than ``FULL_FRACTION`` of
-        S's values."""
-        near = self._small_restriction(columns)
-        if near is None:
-            return self
-        return ColumnRestricted(self.shape, columns, self.P[:, columns],
-                                self.A[near][:, columns], self.A[:, near], self.s, self.c)
-
-    def _small_restriction(self, nodes: np.ndarray):
-        """N1, the sorted neighbors in A of ``nodes`` (empty without a
-        wedge term), or None when S restricted to the rows or columns
-        ``nodes`` would read more than ``FULL_FRACTION`` of S's values.
-        Such a restriction reads P's and A's rows at ``nodes`` and A's
-        rows at N1; as the patterns of P and A are symmetric, a column
-        slice holds as many values as the row slice."""
-        if nodes.size == self.shape[0]:
-            return None
-        if not self.c:
-            near = nodes[:0]
-            reads = _row_nnz(self.P, nodes)
-        else:
-            near = _columns_of(self.A[nodes])
-            reads = _row_nnz(self.P, nodes) + _row_nnz(self.A, nodes) + _row_nnz(self.A, near)
-        return None if reads > FULL_FRACTION * self.nnz else near
+        return Restricted(self.shape, rows, columns, _block(self.P, rows, columns),
+                          _block(self.A, rows, near), _block(self.A, near, columns),
+                          self.s, self.c)
 
 
 # A restricted operator that would read more than this share of the full
@@ -406,103 +403,72 @@ def _row_nnz(M: sp.csr_matrix, rows: np.ndarray) -> int:
     return int((M.indptr[rows + 1] - M.indptr[rows]).sum())
 
 
+def _block(M: sp.csr_matrix, rows, columns) -> sp.csr_matrix:
+    """M[rows][:, columns], where None takes every row or column."""
+    if rows is not None:
+        M = M[rows]
+    return M if columns is None else M[:, columns]
+
+
+def _pick(v: np.ndarray, idx):
+    """v[idx], or v itself when idx is None."""
+    return v if idx is None else v[idx]
+
+
 def _scaling(s: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """s shaped to broadcast over the rows of Y."""
     return s.reshape((-1,) + (1,) * (np.ndim(Y) - 1))
 
 
 @dataclass(frozen=True, eq=False)
-class RowRestricted:
-    """S with every row outside ``rows`` zeroed: ``(self @ Y)[rows]`` is
-    ``(S @ Y)[rows]`` bit for bit, and every other row is 0.
+class Restricted:
+    """S with every row outside ``rows`` and every column outside
+    ``columns`` zeroed, where None keeps them all (see the module
+    docstring). With R_o = ``rows`` and R_i = ``columns``, ``self @ Y`` is
 
-    S[R] @ Y = P[R] @ Y + c·s[R]∘(A[R][:, N1] @ (A[N1] @ (s∘Y))), where N1
-    is the sorted set of columns of A[R]. Each product sums the same
-    terms in the same order as the full one, less terms that are exactly
-    zero there, so the rows come out bit-identical.
+        P[R_o][:, R_i] @ Y[R_i]
+            + c·s[R_o]∘(A[R_o][:, N1] @ (A[N1][:, R_i] @ (s[R_i]∘Y[R_i])))
+
+    on the rows R_o and 0 elsewhere, which is S @ Y bit for bit on R_o
+    whenever Y is zero outside R_i. N1 is the sorted set of neighbors in
+    A of the restricted side, empty without a wedge term.
 
     Attributes:
         shape: the full operator's shape.
-        rows: R, sorted and distinct.
-        P: P[R].
-        A_rows: A[R][:, N1].
-        A_near: A[N1].
+        rows, columns: R_o and R_i, each sorted and distinct, or None.
+        P: P[R_o][:, R_i].
+        A_out: A[R_o][:, N1].
+        A_in: A[N1][:, R_i].
         s, c: the full operator's wedge scaling and weight.
-
-    N1 is empty without a wedge term (c = 0).
     """
 
     shape: tuple
-    rows: np.ndarray
+    rows: np.ndarray | None
+    columns: np.ndarray | None
     P: sp.csr_matrix
-    A_rows: sp.csr_matrix
-    A_near: sp.csr_matrix
+    A_out: sp.csr_matrix
+    A_in: sp.csr_matrix
     s: np.ndarray
     c: float
 
     @property
     def nnz(self) -> int:
         """Stored values one apply reads per column of its argument."""
-        return self.P.nnz + self.A_rows.nnz + self.A_near.nnz
+        return self.P.nnz + self.A_out.nnz + self.A_in.nnz
 
     def __matmul__(self, Y: np.ndarray) -> np.ndarray:
-        near = self.P @ Y
+        Y = _pick(Y, self.columns)
+        out = self.P @ Y
         if self.c:
             s = _scaling(self.s, Y)
-            far = self.A_rows @ (self.A_near @ (s * Y))
-            far *= self.c * s[self.rows]
-            near += far
-        out = np.zeros((self.shape[0],) + np.shape(Y)[1:])
-        out[self.rows] = near
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class ColumnRestricted:
-    """S with every column outside ``columns`` zeroed: ``self @ d`` is
-    ``S @ d`` bit for bit whenever d is zero outside ``columns``.
-
-    S[:, R] @ d[R] = P[:, R] @ d[R] + c·s∘(A[:, N1] @ (A[N1][:, R] @
-    (s[R]∘d[R]))), where N1 is the sorted set of nodes adjacent to R. The
-    slices are column slices of P and A, never transposed row slices: P
-    is symmetric only up to rounding (s_i·a·s_j against s_j·a·s_i), so
-    P[R].T would hold other values than P[:, R]. A column slice keeps
-    each row's stored order, so every product sums the same terms in the
-    same order as the full one, less the ones where d is zero.
-
-    Attributes:
-        shape: the full operator's shape.
-        columns: R, sorted and distinct.
-        P: P[:, R].
-        A_near: A[N1][:, R].
-        A_cols: A[:, N1].
-        s, c: the full operator's wedge scaling and weight.
-
-    N1 is empty without a wedge term (c = 0).
-    """
-
-    shape: tuple
-    columns: np.ndarray
-    P: sp.csr_matrix
-    A_near: sp.csr_matrix
-    A_cols: sp.csr_matrix
-    s: np.ndarray
-    c: float
-
-    @property
-    def nnz(self) -> int:
-        """Stored values one apply reads per column of its argument."""
-        return self.P.nnz + self.A_near.nnz + self.A_cols.nnz
-
-    def __matmul__(self, d: np.ndarray) -> np.ndarray:
-        d = d[self.columns]
-        out = self.P @ d
-        if self.c:
-            s = _scaling(self.s, d)
-            far = self.A_cols @ (self.A_near @ (s[self.columns] * d))
-            far *= self.c * s
+            far = self.A_out @ (self.A_in @ (_pick(s, self.columns) * Y))
+            far *= self.c * _pick(s, self.rows)
             out += far
-        return out
+        if self.rows is None:
+            return out
+        full = np.zeros((self.shape[0],) + np.shape(Y)[1:])
+        full[self.rows] = out
+        return full
 
 
 def mix_matrices(recipe: MixRecipe, graph: Graph) -> MixedOperator:

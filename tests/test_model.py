@@ -19,6 +19,7 @@ from motifgcn.model import (
     fit_operators,
     forward,
     grid_search,
+    row_operators,
     run_protocol,
     train,
 )
@@ -365,6 +366,40 @@ def test_gradient_check_with_sparse_features():
     assert sp.issparse(g.features)
     for h1, h2 in ((1, 0), (2, 1)):
         assert gradient_check(h1, h2, graph=g) < 1e-6
+
+
+def dense_row_sets(m, rows) -> list:
+    """Each GCN layer's rows in forward order, read off S's dense pattern
+    one layer at a time: the stored pattern of P, and that of A @ A when
+    the mix has a wedge term."""
+    S = m.mixed_matrix
+    reads = sp.csr_matrix((np.ones(S.P.nnz), S.P.indices, S.P.indptr), S.shape).toarray() > 0
+    if S.c:
+        reads |= (S.A @ S.A).toarray() > 0
+    sets = [np.unique(rows)]
+    for _ in range(m.config.h1 - 1):
+        sets.append(np.flatnonzero(reads[sets[-1]].any(axis=0)))
+    return sets[::-1]
+
+
+@pytest.mark.parametrize("recipe", ["edge:8,triangle:1,wedge:2", "edge:1", "triangle:1",
+                                    "wedge:1"])
+@pytest.mark.parametrize("seed", range(4))
+def test_walk_reads_no_extra_rows(monkeypatch, recipe, seed):
+    # Bit-equality with the full path holds for any superset of the rows
+    # that are read, so it cannot tell a walk that reaches too far.
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, 30, 0.12, feature_dim=1, n_classes=2)
+    m = build_model(ModelConfig(h1=3, h2=0, recipe=MixRecipe.parse(recipe)), g)
+    monkeypatch.setattr(motifs, "FULL_FRACTION", np.inf)  # S only where R is every row
+    S, everything = m.mixed_matrix, np.arange(30)
+    for rows in (rng.choice(30, 2, replace=False), rng.choice(30, 6, replace=False)):
+        fit_ops, grad_ops = fit_operators(m, rows)
+        expected = dense_row_sets(m, rows)
+        for ops, side in ((fit_ops, "rows"), (grad_ops, "columns"),
+                          (row_operators(m, rows), "rows")):
+            got = [everything if op is S else getattr(op, side) for op in ops]
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
 
 
 def test_sparse_graph_features_are_read_only(rng):

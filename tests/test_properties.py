@@ -1,9 +1,12 @@
 """Property tests: kernels against the brute-force oracle, the mixed
 operator against the materialized mix, its symmetry and norm bound, the
 restricted passes against the full ones, and the recipe text round
-trip."""
+trip; and that a failed property test does not end the session."""
 
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -190,3 +193,32 @@ recipes = st.lists(
 @example(MixRecipe.parse("edge:0.1234567,wedge:2"))
 def test_recipe_text_round_trip(recipe):
     assert MixRecipe.parse(str(recipe)) == recipe
+
+
+FAILING_THEN_PASSING = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x != x
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failed_property_test_lets_later_tests_run(tmp_path):
+    # Under the repo's pytest config, hypothesis reporting a failure must
+    # not turn a warning into an INTERNALERROR that stops the session.
+    (tmp_path / "test_pair.py").write_text(FAILING_THEN_PASSING)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
