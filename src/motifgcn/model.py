@@ -16,13 +16,14 @@ validation rows in the evaluation pass and the test rows in the final
 lower GCN layer the rows S reaches from those. In backward, the
 gradient at the last GCN layer is nonzero on the train rows only and
 spreads by the same hops going down, so each GCN layer applies S
-restricted to those columns. ``train`` walks down the GCN layers once
-per split (``MixedOperator.walk``), which finds each layer's rows and
-their neighbours once, and builds that split's restricted operators
-from the walk. Every array keeps all N rows, with zeros where nothing
-is computed, so dropout draws and the dense products round as on the
-full path, which ``forward`` and ``backward`` run when given no
-operators.
+with its other columns removed. ``train`` walks down the GCN layers
+once per split (``MixedOperator.walk``), which finds each layer's rows
+and their neighbours once, and builds that split's operators from the
+walk: each is again a ``MixedOperator``, S with the entries outside
+those rows or columns removed. Every array keeps all N rows, with
+zeros where nothing is computed, so dropout draws and the dense
+products round as on the full path, which ``forward`` and ``backward``
+run when given no operators.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph
+from .graph import UNLABELED, Graph
 from .motifs import MixedOperator, MixRecipe, mix_matrices
 from . import nn
 
@@ -263,8 +264,8 @@ def train(config: ModelConfig, dataset, splits,
     from the same seed as the weight init. ``mixed`` is the
     ``mix_matrices(config.recipe, dataset.graph)`` operator when the
     caller already holds it, else it is built here. Raises ValueError
-    before the first epoch when a split is empty or an index lies outside
-    [0, N).
+    before the first epoch when a split is empty, an index lies outside
+    [0, N), or a train or validation index names an unlabeled node.
     """
     graph = dataset.graph
     train_idx = nn.as_index(splits.train)
@@ -275,6 +276,9 @@ def train(config: ModelConfig, dataset, splits,
             raise ValueError(f"{name} split is empty")
         if idx.min() < 0 or idx.max() >= graph.n_nodes:
             raise ValueError(f"{name} split index out of range [0, {graph.n_nodes})")
+        unlabeled = idx[graph.labels[idx] == UNLABELED]
+        if name != "test" and unlabeled.size:
+            raise ValueError(f"{name} split names unlabeled node {unlabeled[0]}")
     model = build_model(config, graph, mixed=mixed)
     # Each pass computes only the rows it reads: training reads the train
     # rows, evaluation the validation rows.

@@ -28,20 +28,20 @@ Only ``wedge_motif_matrix`` forms A²; as A² is symmetric, ``(A @ A).T``
 converted to CSR is A² with every row sorted, in one O(nnz) pass instead
 of a sort per row.
 
-A model often reads only some rows of S @ Y, so the operator also comes
-restricted, as one ``Restricted`` type that keeps either every row or
-every column. ``S.walk(R, depth)`` goes down ``depth`` stacked applies
-whose output is read on R and gives, for each, the rows it computes and
-N1, their neighbors in A, found once per row set. ``S.rows(R, N1)``
-computes the rows R alone, as
-``P[R] @ Y + c·s[R]∘(A[R][:, N1] @ (A[N1] @ (s∘Y)))``; ``S.columns(R, N1)``
-computes S @ d for a d that is zero outside R, as
-``P[:, R] @ d[R] + c·s∘(A[:, N1] @ (A[N1][:, R] @ (s[R]∘d[R])))``.
-Slicing keeps each row's stored order, so every product sums the same
-nonzero terms in the same order as the full one and the results are
-bit-identical to it. The column form slices columns rather than
-transposing P[R]: P is symmetric only up to rounding (s_i·a·s_j against
-s_j·a·s_i), so P[R].T holds other values.
+A model often reads only some rows of S @ Y, so ``S.rows(R, N1)`` and
+``S.columns(R, N1)`` return S with the entries outside the rows R, or
+outside the columns R, removed: another ``MixedOperator`` of the same
+N×N shape, applied by the same code. ``S.walk(R, depth)`` goes down
+``depth`` stacked applies whose output is read on R and gives, for each,
+the rows it computes and N1, their neighbors in A, found once per row
+set. The row form keeps the entries of P[R], A[R][:, N1] and A[N1], so
+its S @ Y is exact on R and 0 elsewhere; the column form keeps those of
+P[:, R], A[:, N1] and A[N1][:, R], so its S @ d is exact for a d that is
+zero outside R. Removing entries keeps each row's stored order, so every
+product sums the same nonzero terms in the same order as the full one
+and the results are bit-identical to it. The column form slices columns
+rather than transposing P[R]: P is symmetric only up to rounding
+(s_i·a·s_j against s_j·a·s_i), so P[R].T holds other values.
 """
 
 from __future__ import annotations
@@ -296,13 +296,19 @@ def _normalized_part(source: MatrixSource, A: sp.csr_matrix):
 
 @dataclass(frozen=True, eq=False)  # identity equality: arrays do not compare to a bool
 class MixedOperator:
-    """The normalized mixed matrix S = P + c·diag(s)·A²·diag(s), applied
-    without storing A².
+    """S = P + c·diag(s)·A_out·A_in·diag(s), applied without storing
+    A_out·A_in.
+
+    ``mix_matrices`` returns the mix, whose A_out and A_in are both the
+    graph's adjacency A, so its wedge term is c·s∘A²∘s. ``rows`` and
+    ``columns`` return the mix with the entries outside some rows or
+    columns removed, in the same N×N shape (see the module docstring).
 
     Attributes:
         P: frozen CSR on the pattern of A plus the diagonal: the weighted
             edge and triangle components plus c·s∘B∘s from the wedge.
-        A: the graph's frozen adjacency.
+        A_out, A_in: frozen CSR; the adjacency A in the mix, row or
+            column blocks of it in a restriction.
         s: read-only wedge scaling rowsum(W)^{-1/2}, 0 on zero rows (and
             everywhere when the mix has no wedge component).
         c: wedge weight over the total weight; 0 without a wedge.
@@ -311,7 +317,8 @@ class MixedOperator:
     """
 
     P: sp.csr_matrix
-    A: sp.csr_matrix
+    A_out: sp.csr_matrix
+    A_in: sp.csr_matrix
     s: np.ndarray
     c: float
 
@@ -322,22 +329,22 @@ class MixedOperator:
     @property
     def nnz(self) -> int:
         """Stored values one apply reads per column of its argument."""
-        return self.P.nnz + (2 * self.A.nnz if self.c else 0)
+        return self.P.nnz + (self.A_out.nnz + self.A_in.nnz if self.c else 0)
 
     def __matmul__(self, Y: np.ndarray) -> np.ndarray:
-        """S @ Y as P @ Y + c·s∘(A @ (A @ (s∘Y))), for a dense Y."""
+        """S @ Y as P @ Y + c·s∘(A_out @ (A_in @ (s∘Y))), for a dense Y."""
         out = self.P @ Y
         if self.c:
             s = _scaling(self.s, Y)
-            far = self.A @ (self.A @ (s * Y))
+            far = self.A_out @ (self.A_in @ (s * Y))
             far *= self.c * s
             out += far
         return out
 
     def to_scipy(self) -> sp.csr_matrix:
-        """S materialized as frozen canonical CSR, A² entries included."""
+        """S materialized as frozen canonical CSR, A_out·A_in entries included."""
         Ds = sp.diags(self.s)
-        return freeze_csr(self.P + self.c * (Ds @ (self.A @ self.A) @ Ds))
+        return freeze_csr(self.P + self.c * (Ds @ (self.A_out @ self.A_in) @ Ds))
 
     def walk(self, rows: np.ndarray, depth: int) -> list:
         """(R, N1) for each of ``depth`` stacked applies of S whose last
@@ -351,38 +358,41 @@ class MixedOperator:
         outside the R above."""
         steps = []
         while True:
-            near = _columns_of(self.A[rows]) if self.c else rows[:0]
+            near = _columns_of(self.A_out[rows]) if self.c else rows[:0]
             steps.append((rows, near))
             if len(steps) == depth:
                 return steps[::-1]
             hit = np.zeros(self.shape[0], dtype=bool)
             hit[self.P[rows].indices] = True
-            hit[self.A[near].indices] = True
+            hit[self.A_in[near].indices] = True
             rows = np.flatnonzero(hit)
 
-    def rows(self, rows: np.ndarray, near: np.ndarray):
-        """S restricted to the rows ``rows``, with N1 ``near`` from ``walk``."""
+    def rows(self, rows: np.ndarray, near: np.ndarray) -> MixedOperator:
+        """S with every row outside ``rows`` removed, with N1 ``near``
+        from ``walk``: S @ Y bit for bit on ``rows``, 0 elsewhere."""
         return self._restricted(rows, None, near)
 
-    def columns(self, columns: np.ndarray, near: np.ndarray):
-        """S restricted to the columns ``columns``, with N1 ``near`` from ``walk``."""
+    def columns(self, columns: np.ndarray, near: np.ndarray) -> MixedOperator:
+        """S with every column outside ``columns`` removed, with N1
+        ``near`` from ``walk``: S @ d bit for bit for a d that is zero
+        outside ``columns``."""
         return self._restricted(None, columns, near)
 
-    def _restricted(self, rows, columns, near):
-        """A ``Restricted``, or S itself when that would read more than
-        ``FULL_FRACTION`` of S's values. It reads P's rows at the
-        restricted nodes and, with a wedge term, A's rows there and at N1;
-        the patterns of P and A are symmetric, so a column slice holds as
-        many values as a row slice."""
+    def _restricted(self, rows, columns, near) -> MixedOperator:
+        """S with the entries outside ``rows`` and ``columns`` removed
+        (None keeps them all), or S itself when applying it would read
+        more than ``FULL_FRACTION`` of S's values. It reads P's rows at
+        the restricted nodes and, with a wedge term, A's rows there and
+        at N1; the patterns of P and A are symmetric, so a column block
+        holds as many values as a row block."""
         nodes = columns if rows is None else rows
-        reads = _row_nnz(self.P, nodes) + _row_nnz(self.A, near)
+        reads = _row_nnz(self.P, nodes) + _row_nnz(self.A_in, near)
         if self.c:
-            reads += _row_nnz(self.A, nodes)
+            reads += _row_nnz(self.A_out, nodes)
         if nodes.size == self.shape[0] or reads > FULL_FRACTION * self.nnz:
             return self
-        return Restricted(self.shape, rows, columns, _block(self.P, rows, columns),
-                          _block(self.A, rows, near), _block(self.A, near, columns),
-                          self.s, self.c)
+        return MixedOperator(_block(self.P, rows, columns), _block(self.A_out, rows, near),
+                             _block(self.A_in, near, columns), self.s, self.c)
 
 
 # A restricted operator that would read more than this share of the full
@@ -404,71 +414,29 @@ def _row_nnz(M: sp.csr_matrix, rows: np.ndarray) -> int:
 
 
 def _block(M: sp.csr_matrix, rows, columns) -> sp.csr_matrix:
-    """M[rows][:, columns], where None takes every row or column."""
+    """M with the entries outside ``rows`` and ``columns`` (sorted and
+    distinct, None for all) removed, in M's shape and read-only: the
+    entries of M[rows][:, columns], each row in its stored order."""
+    n = M.shape[0]
     if rows is not None:
         M = M[rows]
-    return M if columns is None else M[:, columns]
-
-
-def _pick(v: np.ndarray, idx):
-    """v[idx], or v itself when idx is None."""
-    return v if idx is None else v[idx]
+    if columns is not None:
+        M = M[:, columns]
+    indices = M.indices if columns is None else columns[M.indices].astype(M.indices.dtype)
+    indptr = M.indptr
+    if rows is not None:
+        indptr = np.zeros(n + 1, dtype=M.indptr.dtype)
+        indptr[rows + 1] = np.diff(M.indptr)
+        np.cumsum(indptr, out=indptr)
+    M = sp.csr_matrix((M.data, indices, indptr), shape=(n, n))
+    for a in (M.data, M.indices, M.indptr):
+        a.flags.writeable = False
+    return M
 
 
 def _scaling(s: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """s shaped to broadcast over the rows of Y."""
     return s.reshape((-1,) + (1,) * (np.ndim(Y) - 1))
-
-
-@dataclass(frozen=True, eq=False)
-class Restricted:
-    """S with every row outside ``rows`` and every column outside
-    ``columns`` zeroed, where None keeps them all (see the module
-    docstring). With R_o = ``rows`` and R_i = ``columns``, ``self @ Y`` is
-
-        P[R_o][:, R_i] @ Y[R_i]
-            + c·s[R_o]∘(A[R_o][:, N1] @ (A[N1][:, R_i] @ (s[R_i]∘Y[R_i])))
-
-    on the rows R_o and 0 elsewhere, which is S @ Y bit for bit on R_o
-    whenever Y is zero outside R_i. N1 is the sorted set of neighbors in
-    A of the restricted side, empty without a wedge term.
-
-    Attributes:
-        shape: the full operator's shape.
-        rows, columns: R_o and R_i, each sorted and distinct, or None.
-        P: P[R_o][:, R_i].
-        A_out: A[R_o][:, N1].
-        A_in: A[N1][:, R_i].
-        s, c: the full operator's wedge scaling and weight.
-    """
-
-    shape: tuple
-    rows: np.ndarray | None
-    columns: np.ndarray | None
-    P: sp.csr_matrix
-    A_out: sp.csr_matrix
-    A_in: sp.csr_matrix
-    s: np.ndarray
-    c: float
-
-    @property
-    def nnz(self) -> int:
-        """Stored values one apply reads per column of its argument."""
-        return self.P.nnz + self.A_out.nnz + self.A_in.nnz
-
-    def __matmul__(self, Y: np.ndarray) -> np.ndarray:
-        Y = _pick(Y, self.columns)
-        out = self.P @ Y
-        if self.c:
-            s = _scaling(self.s, Y)
-            far = self.A_out @ (self.A_in @ (_pick(s, self.columns) * Y))
-            far *= self.c * _pick(s, self.rows)
-            out += far
-        if self.rows is None:
-            return out
-        full = np.zeros((self.shape[0],) + np.shape(Y)[1:])
-        full[self.rows] = out
-        return full
 
 
 def mix_matrices(recipe: MixRecipe, graph: Graph) -> MixedOperator:
@@ -506,7 +474,7 @@ def mix_matrices(recipe: MixRecipe, graph: Graph) -> MixedOperator:
     wedge = [(w / total, s) for _, w, s in kept if s is not None]
     s = wedge[0][1] if wedge else np.zeros(n)
     s.flags.writeable = False
-    return MixedOperator(freeze_csr(P), A, s, float(sum(c for c, _ in wedge)))
+    return MixedOperator(freeze_csr(P), A, A, s, float(sum(c for c, _ in wedge)))
 
 
 def triangle_count(graph: Graph) -> int:

@@ -53,9 +53,8 @@ def glorot_init(in_dim: int, out_dim: int, rng) -> np.ndarray:
 
 
 def spmm(S: sp.csr_matrix | MixedOperator, X: np.ndarray) -> np.ndarray:
-    """Sparse @ dense product: S is a scipy sparse matrix, the model's
-    ``motifs.MixedOperator`` or a restriction of it, anything with
-    ``shape`` and ``@``."""
+    """Sparse @ dense product: S is a scipy sparse matrix or a
+    ``motifs.MixedOperator``, anything with ``shape`` and ``@``."""
     X = np.asarray(X, dtype=np.float64)
     if S.shape[1] != X.shape[0]:
         raise ValueError(f"dimension mismatch: {S.shape[1]} vs {X.shape[0]}")

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from motifgcn.data import SplitSpec, Splits, load_planetoid, make_splits
-from motifgcn.graph import Graph, build_adjacency
+from motifgcn.cli import main
+from motifgcn.data import Dataset, SplitSpec, Splits, load_planetoid, make_splits
+from motifgcn.graph import UNLABELED, Graph, build_adjacency
 from motifgcn import model as model_module, motifs
 from motifgcn.motifs import MixRecipe, normalize_symmetric
 from motifgcn.model import (
@@ -248,6 +249,45 @@ def test_train_rejects_out_of_range_split_index(small_dataset, small_splits,
         train(ModelConfig(h1=1, h2=0, recipe=EDGE_ONLY), small_dataset, bad)
 
 
+@pytest.mark.parametrize("split", ["train", "validation"])
+def test_train_rejects_unlabeled_split_node(small_dataset, small_splits, monkeypatch, split):
+    # Label -1 would index the last class in the loss and count as a
+    # wrong prediction in the validation accuracy.
+    g = small_dataset.graph
+    node = int(getattr(small_splits, split)[0])
+    labels = g.labels.copy()
+    labels[node] = UNLABELED
+    dataset = Dataset(Graph(g.n_nodes, g.edges, features=g.features, labels=labels,
+                            n_classes=g.n_classes), "one unlabeled node")
+
+    def no_epochs(*args, **kwargs):
+        raise AssertionError("an epoch ran before the split was checked")
+
+    monkeypatch.setattr(model_module, "forward", no_epochs)
+    with pytest.raises(ValueError, match=f"{split} split names unlabeled node {node}$"):
+        train(ModelConfig(h1=1, h2=0, recipe=EDGE_ONLY), dataset, small_splits)
+
+
+def test_cli_train_rejects_unlabeled_planetoid_train_node(tmp_path, capsys):
+    # An all-zero ally row among the first len(y) rows leaves a train node
+    # without a label.
+    write_planetoid_layout(tmp_path)
+    path = tmp_path / "ind.cora.ally"
+    with open(path, "rb") as fh:
+        ally = pickle.load(fh)
+    ally[3] = 0
+    with open(path, "wb") as fh:
+        pickle.dump(ally, fh)
+    conf = tmp_path / "planetoid.conf"
+    conf.write_text("dataset = planetoid:cora\nh1 = 1\nh2 = 0\n")
+    with pytest.warns(UserWarning, match="published"):
+        code = main(["train", "--config", str(conf), "--data-root", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "train split names unlabeled node 3" in captured.err
+
+
 # -------------------------------------------------------------- evaluation
 
 def test_evaluate_perfect_and_wrong(rng):
@@ -375,7 +415,7 @@ def dense_row_sets(m, rows) -> list:
     S = m.mixed_matrix
     reads = sp.csr_matrix((np.ones(S.P.nnz), S.P.indices, S.P.indptr), S.shape).toarray() > 0
     if S.c:
-        reads |= (S.A @ S.A).toarray() > 0
+        reads |= (S.A_out @ S.A_in).toarray() > 0
     sets = [np.unique(rows)]
     for _ in range(m.config.h1 - 1):
         sets.append(np.flatnonzero(reads[sets[-1]].any(axis=0)))
@@ -392,14 +432,39 @@ def test_walk_reads_no_extra_rows(monkeypatch, recipe, seed):
     g = random_graph(rng, 30, 0.12, feature_dim=1, n_classes=2)
     m = build_model(ModelConfig(h1=3, h2=0, recipe=MixRecipe.parse(recipe)), g)
     monkeypatch.setattr(motifs, "FULL_FRACTION", np.inf)  # S only where R is every row
-    S, everything = m.mixed_matrix, np.arange(30)
+    S = m.mixed_matrix
+    dense = S.to_scipy().toarray()
     for rows in (rng.choice(30, 2, replace=False), rng.choice(30, 6, replace=False)):
-        fit_ops, grad_ops = fit_operators(m, rows)
         expected = dense_row_sets(m, rows)
-        for ops, side in ((fit_ops, "rows"), (grad_ops, "columns"),
-                          (row_operators(m, rows), "rows")):
-            got = [everything if op is S else getattr(op, side) for op in ops]
-            assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
+        steps = S.walk(np.unique(rows), m.config.h1)
+        assert all(np.array_equal(R, want)
+                   for (R, _), want in zip(steps, expected, strict=True))
+        # A restriction is S with the rows (or columns) outside R zeroed.
+        fit_ops, grad_ops = fit_operators(m, rows)
+        for ops, axis in ((fit_ops, 0), (grad_ops, 1), (row_operators(m, rows), 0)):
+            for op, R in zip(ops, expected, strict=True):
+                kept = np.zeros(30, dtype=bool)
+                kept[R] = True
+                want = dense * (kept[:, None] if axis == 0 else kept[None, :])
+                assert np.array_equal(op.to_scipy().toarray(), want)
+
+
+def test_every_operator_is_read_only():
+    # Threads share the mix and the restrictions train builds from it, so
+    # no part of any operator may be writable.
+    g = random_graph(np.random.default_rng(2), 300, 0.01, feature_dim=8, n_classes=3)
+    m = build_model(ModelConfig(recipe=MIXED), g)
+    rows = np.arange(0, 300, 50)
+    fit_ops, grad_ops = fit_operators(m, rows)
+    ops = [m.mixed_matrix, *fit_ops, *grad_ops, *row_operators(m, rows)]
+    assert sum(op is not m.mixed_matrix for op in ops) == 6
+    for op in ops:
+        for part in (op.s, *(a for M in (op.P, op.A_out, op.A_in)
+                             for a in (M.data, M.indices, M.indptr))):
+            with pytest.raises(ValueError, match="read-only"):
+                part[:1] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.c = 0.0
 
 
 def test_sparse_graph_features_are_read_only(rng):

@@ -149,7 +149,7 @@ def test_builders_return_frozen_canonical_csr(rng):
         wedge_motif_matrix(A),
         normalize_symmetric(A, add_self_loops=True),
         mixed.P,
-        mixed.A,
+        mixed.A_out,
         mixed.to_scipy(),
     ]
     for M in built:
