@@ -18,12 +18,23 @@ gradient at the last GCN layer is nonzero on the train rows only and
 spreads by the same hops going down, so each GCN layer applies S
 with its other columns removed. ``train`` walks down the GCN layers
 once per split (``MixedOperator.walk``), which finds each layer's rows
-and their neighbours once, and builds that split's operators from the
-walk: each is again a ``MixedOperator``, S with the entries outside
-those rows or columns removed. Every array keeps all N rows, with
-zeros where nothing is computed, so dropout draws and the dense
-products round as on the full path, which ``forward`` and ``backward``
-run when given no operators.
+and their neighbours once, and builds that split's ``Plan`` from the
+walk: for each GCN layer S with the entries outside those rows or
+columns removed (again a ``MixedOperator``), the rows of X the bottom
+layer reads, and the split's rows, which are all that the softmax
+computes and the loss and accuracy read.
+
+Both ends of the network compute only those rows. The training
+dropout draws a value for every stored value of a sparse X, so the
+stream is the same, and keeps the values in the input rows, so the
+first product ``Hin @ W`` costs in proportion to them; evaluation
+slices a sparse X to its input rows once per split. Every array keeps
+all N rows, with zeros where nothing is computed, and the dense
+products ``Hin @ W`` run on all of them: BLAS may round a product on a
+row subset differently from the same rows of the full product. A CSR
+product sums each row alone, in stored order, so it rounds the same on
+any rows. ``forward`` and ``backward`` run the full path when given no
+plan or operators.
 """
 
 from __future__ import annotations
@@ -41,12 +52,13 @@ from . import nn
 __all__ = [
     "ModelConfig",
     "Model",
+    "Plan",
     "TrainReport",
     "TrainingDiverged",
     "build_model",
     "forward",
-    "row_operators",
-    "fit_operators",
+    "row_plan",
+    "fit_plan",
     "train",
     "evaluate",
     "run_protocol",
@@ -101,6 +113,24 @@ class Model:
     config: ModelConfig
 
 
+@dataclass(frozen=True)
+class Plan:
+    """The rows one forward pass computes; None means all rows, which is
+    the full path.
+
+    Attributes:
+        operators: for each GCN layer, the operator it applies in place
+            of the mixed operator: S with the rows it does not compute
+            removed.
+        inputs: the rows of X that the bottom GCN layer reads.
+        outputs: the rows of the network output that are read.
+    """
+
+    operators: list | None = None
+    inputs: np.ndarray | None = None
+    outputs: np.ndarray | None = None
+
+
 @dataclass
 class TrainReport:
     train_losses: list
@@ -132,7 +162,7 @@ def build_model(config: ModelConfig, graph: Graph,
 
 
 def forward(model: Model, X, training: bool = False, rng=None,
-            with_tape: bool = False, operators=None):
+            with_tape: bool = False, plan: Plan = Plan()):
     """Run the network; returns Z, or (Z, tape) when with_tape is set.
 
     X is a dense array or a scipy sparse matrix; a sparse X stays sparse
@@ -140,13 +170,15 @@ def forward(model: Model, X, training: bool = False, rng=None,
     layer's input and is active only in training mode. The tape holds
     each layer's (dropped-out input, dropout mask, output).
 
-    ``operators`` holds, for each GCN layer k, the operator that layer
-    applies in place of the mixed operator: ``row_operators`` restricts
-    each to the rows that are read, so Z is right on those rows only.
-    Every array keeps all N rows, with zeros where nothing is computed,
-    so dropout draws and the dense products ``Hin @ W`` are the same as
-    on the full path. None applies the full operator at every layer, the
-    reference the restricted path equals bit for bit on the rows it
+    ``plan`` (from ``row_plan`` or ``fit_plan``) names the rows that are
+    read, and Z is right on its outputs only. They depend on X's input
+    rows alone: training dropout keeps only those rows of a sparse X, and
+    an evaluation caller may slice it to them once (``nn.keep_rows``).
+    Each GCN layer applies the plan's operator, and the softmax runs on
+    the outputs, leaving 0 on the other rows. Every array keeps all N
+    rows, so dropout draws and the dense products ``Hin @ W`` are the
+    same as on the full path. The default plan runs the full path, the
+    reference the restricted one equals bit for bit on the rows it
     computes.
     """
     if X.shape[0] != model.mixed_matrix.shape[0]:
@@ -158,14 +190,20 @@ def forward(model: Model, X, training: bool = False, rng=None,
         H = np.asarray(X, dtype=np.float64)
     h1, last = model.config.h1, len(model.weights) - 1
     tape = []
+    operators = [model.mixed_matrix] * h1 if plan.operators is None else plan.operators
+    out = slice(None) if plan.outputs is None else plan.outputs
     for k, W in enumerate(model.weights):
-        Hin, mask = nn.dropout_forward(H, rate, rng, training)
+        Hin, mask = nn.dropout_forward(H, rate, rng, training, plan.inputs if k == 0 else None)
         # Diverged weights overflow to inf; train reports TrainingDiverged.
         with np.errstate(over="ignore"):
             pre = Hin @ W
         if k < h1:
-            pre = nn.spmm(model.mixed_matrix if operators is None else operators[k], pre)
-        H = nn.softmax_rows(pre) if k == last else nn.relu(pre)
+            pre = nn.spmm(operators[k], pre)
+        if k == last:
+            H = np.zeros_like(pre)
+            H[out] = nn.softmax_rows(pre[out])
+        else:
+            H = nn.relu(pre)
         tape.append((Hin, mask, H))
     return (H, tape) if with_tape else H
 
@@ -183,8 +221,10 @@ def backward(model: Model, tape, labels: np.ndarray, train_idx: np.ndarray,
     ``d_pre`` is nonzero only on the train rows at the last GCN layer,
     and on the rows S reaches from those one GCN layer down: the rows
     ``forward`` computes for the train rows. ``operators`` holds, for
-    each GCN layer, S restricted to those columns (``fit_operators``);
-    None applies the full operator at every layer.
+    each GCN layer, S restricted to those columns (``fit_plan``); None
+    applies the full operator at every layer. The bottom layer's
+    ``S @ d_pre`` is then zero outside the plan's input rows, so its
+    weight gradient ``Hin.T @ d_hw`` needs no row of Hin beyond them.
     """
     if len(tape) != len(model.weights):
         raise ValueError("tape length does not match layer count")
@@ -230,26 +270,34 @@ def regularized_loss(model: Model, Z: np.ndarray, labels, mask_idx) -> float:
 
 def evaluate(model: Model, X, labels: np.ndarray, mask) -> float:
     """Fraction of masked nodes whose argmax prediction matches the label.
-    Only the masked rows are computed."""
+
+    Only the masked rows are computed, from the rows of X they reach: a
+    sparse X is sliced to those rows first (``nn.keep_rows``)."""
     idx = nn.as_index(mask)
     if idx.size == 0:
         raise ValueError("evaluate: empty mask")
-    Z = forward(model, X, training=False, operators=row_operators(model, idx))
+    plan = row_plan(model, idx)
+    Z = forward(model, nn.keep_rows(X, plan.inputs), training=False, plan=plan)
     return _accuracy(Z, labels, idx)
 
 
-def row_operators(model: Model, rows) -> list:
-    """``forward``'s operators for an output read on ``rows``."""
-    S = model.mixed_matrix
-    return [S.rows(*step) for step in S.walk(np.unique(rows), model.config.h1)]
+def row_plan(model: Model, rows) -> Plan:
+    """``forward``'s plan for an output read on ``rows``."""
+    return _walk(model, rows)[0]
 
 
-def fit_operators(model: Model, train_idx) -> tuple[list, list]:
-    """``forward``'s and ``backward``'s operators for a loss read on
+def fit_plan(model: Model, train_idx) -> tuple[Plan, list]:
+    """``forward``'s plan and ``backward``'s operators for a loss read on
     ``train_idx``: one walk serves both passes."""
+    plan, steps = _walk(model, train_idx)
+    return plan, [model.mixed_matrix.columns(*step) for step in steps]
+
+
+def _walk(model: Model, rows) -> tuple[Plan, list]:
     S = model.mixed_matrix
-    steps = S.walk(np.unique(train_idx), model.config.h1)
-    return [S.rows(*step) for step in steps], [S.columns(*step) for step in steps]
+    outputs = np.unique(rows)
+    steps, inputs = S.walk(outputs, model.config.h1)
+    return Plan([S.rows(*step) for step in steps], inputs, outputs), steps
 
 
 def _accuracy(Z: np.ndarray, labels, idx: np.ndarray) -> float:
@@ -265,7 +313,7 @@ def train(config: ModelConfig, dataset, splits,
     ``mix_matrices(config.recipe, dataset.graph)`` operator when the
     caller already holds it, else it is built here. Raises ValueError
     before the first epoch when a split is empty, an index lies outside
-    [0, N), or a train or validation index names an unlabeled node.
+    [0, N), or an index names an unlabeled node.
     """
     graph = dataset.graph
     train_idx = nn.as_index(splits.train)
@@ -277,15 +325,16 @@ def train(config: ModelConfig, dataset, splits,
         if idx.min() < 0 or idx.max() >= graph.n_nodes:
             raise ValueError(f"{name} split index out of range [0, {graph.n_nodes})")
         unlabeled = idx[graph.labels[idx] == UNLABELED]
-        if name != "test" and unlabeled.size:
+        if unlabeled.size:
             raise ValueError(f"{name} split names unlabeled node {unlabeled[0]}")
     model = build_model(config, graph, mixed=mixed)
     # Each pass computes only the rows it reads: training reads the train
     # rows, evaluation the validation rows.
-    fit_ops, grad_ops = fit_operators(model, train_idx)
-    val_ops = row_operators(model, val_idx)
+    fit, grad_ops = fit_plan(model, train_idx)
+    val = row_plan(model, val_idx)
     rng = np.random.default_rng((config.seed, 0xD0))  # dropout stream
     X = graph.features
+    X_val = nn.keep_rows(X, val.inputs)
     y = graph.labels
 
     W = model.weights
@@ -296,8 +345,7 @@ def train(config: ModelConfig, dataset, splits,
     best_epoch = 0
     best_weights = None
     for epoch in range(1, config.max_epochs + 1):
-        Z, tape = forward(model, X, training=True, rng=rng, with_tape=True,
-                          operators=fit_ops)
+        Z, tape = forward(model, X, training=True, rng=rng, with_tape=True, plan=fit)
         loss = regularized_loss(model, Z, y, train_idx)
         if not np.isfinite(loss):
             raise TrainingDiverged(epoch)
@@ -305,7 +353,7 @@ def train(config: ModelConfig, dataset, splits,
         for k, g in enumerate(grads):
             W[k], m[k], v[k] = nn.adam_step(W[k], m[k], v[k], g, config.learning_rate, epoch)
 
-        Z_eval = forward(model, X, training=False, operators=val_ops)
+        Z_eval = forward(model, X_val, training=False, plan=val)
         val_loss = nn.cross_entropy_loss(Z_eval, y, val_idx)
         train_losses.append(loss)
         val_losses.append(val_loss)

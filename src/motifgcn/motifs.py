@@ -22,11 +22,11 @@ The wedge matrix splits exactly over the adjacency A with degrees d:
 ``W = B + A²`` with ``B = DA + AD - 2A + diag(C(d,2) + A·d - 2d)``,
 whose support lies inside A ∪ diag. Its row sums are therefore known in
 closed form, ``d² + 3·A·d - 4d + C(d,2)``. The mix uses the split to
-apply the normalized wedge term as ``s∘A(A(s∘Y))`` and never stores A²,
-which is the densest matrix in the model (up to 2·|E|·d_max entries).
-Only ``wedge_motif_matrix`` forms A²; as A² is symmetric, ``(A @ A).T``
-converted to CSR is A² with every row sorted, in one O(nnz) pass instead
-of a sort per row.
+apply the normalized wedge term as ``s∘(A @ (A_s @ Y))`` with
+A_s = A·diag(s) and never stores A², which is the densest matrix in the
+model (up to 2·|E|·d_max entries). Only ``wedge_motif_matrix`` forms
+A²; as A² is symmetric, ``(A @ A).T`` converted to CSR is A² with every
+row sorted, in one O(nnz) pass instead of a sort per row.
 
 A model often reads only some rows of S @ Y, so ``S.rows(R, N1)`` and
 ``S.columns(R, N1)`` return S with the entries outside the rows R, or
@@ -34,13 +34,14 @@ outside the columns R, removed: another ``MixedOperator`` of the same
 N×N shape, applied by the same code. ``S.walk(R, depth)`` goes down
 ``depth`` stacked applies whose output is read on R and gives, for each,
 the rows it computes and N1, their neighbors in A, found once per row
-set. The row form keeps the entries of P[R], A[R][:, N1] and A[N1], so
-its S @ Y is exact on R and 0 elsewhere; the column form keeps those of
-P[:, R], A[:, N1] and A[N1][:, R], so its S @ d is exact for a d that is
-zero outside R. Removing entries keeps each row's stored order, so every
-product sums the same nonzero terms in the same order as the full one
-and the results are bit-identical to it. The column form slices columns
-rather than transposing P[R]: P is symmetric only up to rounding
+set, and the rows of Y that the bottom apply reads. The row form keeps
+the entries of P[R], A[R][:, N1] and A_s[N1], so its S @ Y is exact on
+R and 0 elsewhere; the column form keeps those of P[:, R], A[:, N1] and
+A_s[N1][:, R], so its S @ d is exact for a d that is zero outside R.
+Removing entries keeps each row's stored order, so every product sums
+the same nonzero terms in the same order as the full one and the
+results are bit-identical to it. The column form slices columns rather
+than transposing P[R]: P is symmetric only up to rounding
 (s_i·a·s_j against s_j·a·s_i), so P[R].T holds other values.
 """
 
@@ -296,19 +297,26 @@ def _normalized_part(source: MatrixSource, A: sp.csr_matrix):
 
 @dataclass(frozen=True, eq=False)  # identity equality: arrays do not compare to a bool
 class MixedOperator:
-    """S = P + c·diag(s)·A_out·A_in·diag(s), applied without storing
-    A_out·A_in.
+    """S = P + c·diag(s)·A_out·A_in, applied without storing A_out·A_in.
 
-    ``mix_matrices`` returns the mix, whose A_out and A_in are both the
-    graph's adjacency A, so its wedge term is c·s∘A²∘s. ``rows`` and
-    ``columns`` return the mix with the entries outside some rows or
-    columns removed, in the same N×N shape (see the module docstring).
+    ``mix_matrices`` returns the mix, whose A_out is the graph's
+    adjacency A and whose A_in is A·diag(s), so its wedge term is
+    c·s∘A²∘s. ``rows`` and ``columns`` return the mix with the entries
+    outside some rows or columns removed, in the same N×N shape (see the
+    module docstring).
+
+    A_in stores s_j at each stored (i, j) of A, zeros included, so its
+    pattern is A's and ``walk`` reads either. ``A_in @ Y`` sums the same
+    rounded products s_j·y_j as ``A @ (s∘Y)``, so an apply skips the
+    pass that scales Y and gets the same bits, as long as scipy's sparse
+    product does not fuse ``y += a·x`` into one multiply-add (scipy 1.17
+    on x86-64 does not; a build that did would round differently).
 
     Attributes:
         P: frozen CSR on the pattern of A plus the diagonal: the weighted
             edge and triangle components plus c·s∘B∘s from the wedge.
-        A_out, A_in: frozen CSR; the adjacency A in the mix, row or
-            column blocks of it in a restriction.
+        A_out, A_in: read-only CSR; A and A·diag(s) in the mix, row or
+            column blocks of them in a restriction.
         s: read-only wedge scaling rowsum(W)^{-1/2}, 0 on zero rows (and
             everywhere when the mix has no wedge component).
         c: wedge weight over the total weight; 0 without a wedge.
@@ -332,40 +340,48 @@ class MixedOperator:
         return self.P.nnz + (self.A_out.nnz + self.A_in.nnz if self.c else 0)
 
     def __matmul__(self, Y: np.ndarray) -> np.ndarray:
-        """S @ Y as P @ Y + c·s∘(A_out @ (A_in @ (s∘Y))), for a dense Y."""
+        """S @ Y as P @ Y + c·s∘(A_out @ (A_in @ Y)), for a dense Y."""
         out = self.P @ Y
         if self.c:
-            s = _scaling(self.s, Y)
-            far = self.A_out @ (self.A_in @ (s * Y))
-            far *= self.c * s
+            far = self.A_out @ (self.A_in @ Y)
+            far *= self.c * _scaling(self.s, Y)
             out += far
         return out
 
     def to_scipy(self) -> sp.csr_matrix:
         """S materialized as frozen canonical CSR, A_out·A_in entries included."""
-        Ds = sp.diags(self.s)
-        return freeze_csr(self.P + self.c * (Ds @ (self.A_out @ self.A_in) @ Ds))
+        return freeze_csr(self.P + self.c * (sp.diags(self.s) @ (self.A_out @ self.A_in)))
 
-    def walk(self, rows: np.ndarray, depth: int) -> list:
-        """(R, N1) for each of ``depth`` stacked applies of S whose last
-        output is read on ``rows`` (sorted, distinct), in apply order. R
-        is the rows an apply computes and N1 the sorted neighbors in A of
-        R, empty without a wedge term. The last apply computes ``rows``;
+    def walk(self, rows: np.ndarray, depth: int) -> tuple[list, np.ndarray | None]:
+        """(steps, inputs) for ``depth`` stacked applies of S whose last
+        output is read on ``rows`` (sorted, distinct).
+
+        ``steps`` holds (R, N1) for each apply, in apply order. R is the
+        rows an apply computes and N1 the sorted neighbors in A of R,
+        empty without a wedge term. The last apply computes ``rows``;
         each one below computes the rows S[R] reads from the one above:
         one hop through P's support (A ∪ diag) and, with a wedge term, a
-        second through A from N1. S's pattern is symmetric, so these are
-        also the rows where S @ d can be nonzero for a d that is zero
-        outside the R above."""
+        second through A from N1. ``inputs`` is the rows the bottom apply
+        reads from its argument, found by the same step, or None (all
+        rows) when that apply is S itself, as ``rows`` gives it when a
+        restriction would be near full. S's pattern is symmetric, so each
+        row set read is also where S @ d can be nonzero for a d that is
+        zero outside the R above it."""
         steps = []
-        while True:
-            near = _columns_of(self.A_out[rows]) if self.c else rows[:0]
-            steps.append((rows, near))
-            if len(steps) == depth:
-                return steps[::-1]
-            hit = np.zeros(self.shape[0], dtype=bool)
-            hit[self.P[rows].indices] = True
-            hit[self.A_in[near].indices] = True
-            rows = np.flatnonzero(hit)
+        for _ in range(depth):
+            if steps:
+                rows = self._reads(*steps[-1])
+            steps.append((rows, _columns_of(self.A_out[rows]) if self.c else rows[:0]))
+        inputs = None if self._near_full(*steps[-1]) else self._reads(*steps[-1])
+        return steps[::-1], inputs
+
+    def _reads(self, rows: np.ndarray, near: np.ndarray) -> np.ndarray:
+        """The rows of Y that S @ Y reads to compute ``rows``, given their
+        N1 ``near``."""
+        hit = np.zeros(self.shape[0], dtype=bool)
+        hit[self.P[rows].indices] = True
+        hit[self.A_in[near].indices] = True
+        return np.flatnonzero(hit)
 
     def rows(self, rows: np.ndarray, near: np.ndarray) -> MixedOperator:
         """S with every row outside ``rows`` removed, with N1 ``near``
@@ -380,25 +396,30 @@ class MixedOperator:
 
     def _restricted(self, rows, columns, near) -> MixedOperator:
         """S with the entries outside ``rows`` and ``columns`` removed
-        (None keeps them all), or S itself when applying it would read
-        more than ``FULL_FRACTION`` of S's values. It reads P's rows at
-        the restricted nodes and, with a wedge term, A's rows there and
-        at N1; the patterns of P and A are symmetric, so a column block
-        holds as many values as a row block."""
-        nodes = columns if rows is None else rows
-        reads = _row_nnz(self.P, nodes) + _row_nnz(self.A_in, near)
-        if self.c:
-            reads += _row_nnz(self.A_out, nodes)
-        if nodes.size == self.shape[0] or reads > FULL_FRACTION * self.nnz:
+        (None keeps them all), or S itself when it is near full."""
+        if self._near_full(columns if rows is None else rows, near):
             return self
         return MixedOperator(_block(self.P, rows, columns), _block(self.A_out, rows, near),
                              _block(self.A_in, near, columns), self.s, self.c)
+
+    def _near_full(self, nodes: np.ndarray, near: np.ndarray) -> bool:
+        """Whether S restricted to the rows or columns ``nodes``, with N1
+        ``near``, would keep every node or read more than ``FULL_FRACTION``
+        of S's values. It reads P's rows at ``nodes`` and, with a wedge
+        term, A's rows there and at N1; the patterns of P and A are
+        symmetric, so a column block holds as many values as a row block."""
+        reads = _row_nnz(self.P, nodes) + _row_nnz(self.A_in, near)
+        if self.c:
+            reads += _row_nnz(self.A_out, nodes)
+        return nodes.size == self.shape[0] or reads > FULL_FRACTION * self.nnz
 
 
 # A restricted operator that would read more than this share of the full
 # operator's values is not built: it applies little faster than the full
 # one, and on the 50k-node benchmark graph building a near-full one cost
-# a third to a half of a full apply.
+# a third to a half of a full apply. Where the bottom apply is S itself,
+# the walk gives no input rows: S computes every row, so it reads every
+# row of its argument.
 FULL_FRACTION = 0.75
 
 
@@ -428,7 +449,10 @@ def _block(M: sp.csr_matrix, rows, columns) -> sp.csr_matrix:
         indptr = np.zeros(n + 1, dtype=M.indptr.dtype)
         indptr[rows + 1] = np.diff(M.indptr)
         np.cumsum(indptr, out=indptr)
-    M = sp.csr_matrix((M.data, indices, indptr), shape=(n, n))
+    return _read_only(sp.csr_matrix((M.data, indices, indptr), shape=(n, n)))
+
+
+def _read_only(M: sp.csr_matrix) -> sp.csr_matrix:
     for a in (M.data, M.indices, M.indptr):
         a.flags.writeable = False
     return M
@@ -451,7 +475,8 @@ def mix_matrices(recipe: MixRecipe, graph: Graph) -> MixedOperator:
     A ∪ diag, and its row sums are d² + 3·A·d - 4d + C(d,2) in closed form
     (see the module docstring). So everything but the A² term sums into
     one CSR P on A ∪ diag, and the returned ``MixedOperator`` applies the
-    A² term as two products with A. ``to_scipy()`` materializes the mix.
+    A² term as a product with A·diag(s), then one with A. ``to_scipy()``
+    materializes the mix.
     """
     A = build_adjacency(graph)
     n = graph.n_nodes
@@ -474,7 +499,9 @@ def mix_matrices(recipe: MixRecipe, graph: Graph) -> MixedOperator:
     wedge = [(w / total, s) for _, w, s in kept if s is not None]
     s = wedge[0][1] if wedge else np.zeros(n)
     s.flags.writeable = False
-    return MixedOperator(freeze_csr(P), A, A, s, float(sum(c for c, _ in wedge)))
+    # A·diag(s) keeps A's pattern: explicit zeros where s is 0.
+    A_in = _read_only(sp.csr_matrix((s[A.indices], A.indices, A.indptr), shape=A.shape))
+    return MixedOperator(freeze_csr(P), A, A_in, s, float(sum(c for c, _ in wedge)))
 
 
 def triangle_count(graph: Graph) -> int:

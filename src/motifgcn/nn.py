@@ -26,6 +26,7 @@ __all__ = [
     "cross_entropy_loss",
     "adam_step",
     "dropout_forward",
+    "keep_rows",
 ]
 
 PROB_FLOOR = 1e-12
@@ -95,7 +96,7 @@ def adam_step(W: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarray,
     return W, m, v
 
 
-def dropout_forward(H, rate: float, rng, training: bool):
+def dropout_forward(H, rate: float, rng, training: bool, rows=None):
     """Inverted dropout. Returns (output, keep-scale mask).
 
     The mask already folds in the 1/(1-rate) rescale, so the backward
@@ -108,6 +109,13 @@ def dropout_forward(H, rate: float, rng, training: bool):
     only ever the network input, whose gradient is never formed, so it
     gets no mask (None). With every value stored, the draws and the
     output equal those of the dense path.
+
+    ``rows`` (sorted and distinct, None for all) are the rows of a CSR H
+    that are read. A value is still drawn for every stored value, so the
+    stream moves on as without ``rows``, but the output keeps only the
+    values in ``rows`` (as ``keep_rows`` does) and costs a product in
+    proportion to them. A dense H keeps every row: the dense products
+    that follow run on all rows.
     """
     if not 0 <= rate < 1:
         raise ValueError("dropout rate must be in [0, 1)")
@@ -115,14 +123,50 @@ def dropout_forward(H, rate: float, rng, training: bool):
         return H, None
     scale = 1.0 / (1.0 - rate)
     if sp.issparse(H):
-        # Integer gathers are several times faster than boolean indexing;
-        # row r of the output starts at the count of kept values before
-        # H.indptr[r].
-        kept = np.flatnonzero(rng.random(H.nnz) >= rate)
-        out = sp.csr_matrix(
-            (H.data[kept] * scale, H.indices[kept], np.searchsorted(kept, H.indptr)),
-            shape=H.shape,
-        )
-        return out, None
+        drawn = rng.random(H.nnz)
+        if rows is None:
+            kept = np.flatnonzero(drawn >= rate)
+        else:
+            at = _stored_in(H.indptr, rows)
+            kept = at[np.flatnonzero(drawn[at] >= rate)]
+        return _stored(H, kept, rows, scale), None
     mask = (rng.random(H.shape) >= rate) * scale
     return H * mask, mask
+
+
+def keep_rows(H, rows):
+    """A CSR H with the values outside ``rows`` (sorted and distinct)
+    removed, in H's shape; H itself when ``rows`` is None or H is dense.
+    Each kept row is stored as in H, so a product sums it as H's would."""
+    if rows is None or not sp.issparse(H):
+        return H
+    return _stored(H, _stored_in(H.indptr, rows), rows)
+
+
+def _stored_in(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Sorted positions of the values a CSR matrix stores in ``rows``."""
+    start = indptr[rows]
+    count = indptr[rows + 1] - start
+    # Each position is its row's start plus its rank among the row's values.
+    at = np.repeat(start - (np.cumsum(count) - count), count)
+    at += np.arange(at.size)
+    return at
+
+
+def _stored(H: sp.csr_matrix, kept: np.ndarray, rows=None,
+            scale: float = 1.0) -> sp.csr_matrix:
+    """The CSR matrix of H's values at the sorted positions ``kept``, all
+    in ``rows`` (sorted; None for all), times ``scale``.
+
+    Integer gathers are several times faster than boolean indexing, so
+    callers pass positions. Row r ends at the count of kept values
+    before H's row r ends; that count is searched for ``rows`` alone and
+    carried over the rows between them, which hold nothing."""
+    data = H.data[kept]
+    if scale != 1.0:
+        data *= scale
+    ends = slice(1, None) if rows is None else rows + 1
+    indptr = np.zeros(H.shape[0] + 1, dtype=np.int64)
+    indptr[ends] = np.searchsorted(kept, H.indptr[ends])
+    np.maximum.accumulate(indptr, out=indptr)
+    return sp.csr_matrix((data, H.indices[kept], indptr), shape=H.shape)

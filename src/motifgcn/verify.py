@@ -7,7 +7,8 @@ import numpy as np
 
 from .graph import Graph, build_adjacency
 from .motifs import MixRecipe, motif_matrix_oracle, triangle_motif_matrix, wedge_motif_matrix
-from .model import ModelConfig, backward, build_model, fit_operators, forward, regularized_loss
+from . import nn
+from .model import ModelConfig, backward, build_model, fit_plan, forward, regularized_loss
 
 __all__ = [
     "random_graph",
@@ -51,9 +52,10 @@ def gradient_check(h1: int, h2: int, graph: Graph | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     The analytic gradients come from the passes ``train`` runs, which
-    compute only the rows the loss reads; the finite differences come
-    from the full forward pass. Dropout must be off: the loss would not
-    be a deterministic function of the weights otherwise.
+    compute only the rows the loss reads, from a sparse X sliced to the
+    rows they reach; the finite differences come from the full forward
+    pass. Dropout must be off: the loss would not be a deterministic
+    function of the weights otherwise.
     """
     if graph is None:
         graph = gradcheck_fixture()
@@ -63,8 +65,9 @@ def gradient_check(h1: int, h2: int, graph: Graph | None = None) -> float:
     X, y = graph.features, graph.labels
     train_idx = np.arange(0, graph.n_nodes, 2)
 
-    fit_ops, grad_ops = fit_operators(model, train_idx)
-    _, tape = forward(model, X, training=False, with_tape=True, operators=fit_ops)
+    fit, grad_ops = fit_plan(model, train_idx)
+    _, tape = forward(model, nn.keep_rows(X, fit.inputs), training=False, with_tape=True,
+                      plan=fit)
     grads = backward(model, tape, y, train_idx, grad_ops)
 
     worst = 0.0

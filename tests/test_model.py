@@ -17,10 +17,10 @@ from motifgcn.model import (
     backward,
     build_model,
     evaluate,
-    fit_operators,
+    fit_plan,
     forward,
     grid_search,
-    row_operators,
+    row_plan,
     run_protocol,
     train,
 )
@@ -249,10 +249,10 @@ def test_train_rejects_out_of_range_split_index(small_dataset, small_splits,
         train(ModelConfig(h1=1, h2=0, recipe=EDGE_ONLY), small_dataset, bad)
 
 
-@pytest.mark.parametrize("split", ["train", "validation"])
+@pytest.mark.parametrize("split", ["train", "validation", "test"])
 def test_train_rejects_unlabeled_split_node(small_dataset, small_splits, monkeypatch, split):
     # Label -1 would index the last class in the loss and count as a
-    # wrong prediction in the validation accuracy.
+    # wrong prediction in the validation or test accuracy.
     g = small_dataset.graph
     node = int(getattr(small_splits, split)[0])
     labels = g.labels.copy()
@@ -286,6 +286,26 @@ def test_cli_train_rejects_unlabeled_planetoid_train_node(tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert "train split names unlabeled node 3" in captured.err
+
+
+def test_cli_train_rejects_unlabeled_planetoid_test_node(tmp_path, capsys):
+    # An all-zero ty row leaves the test node it belongs to without a label.
+    write_planetoid_layout(tmp_path)
+    path = tmp_path / "ind.cora.ty"
+    with open(path, "rb") as fh:
+        ty = pickle.load(fh)
+    ty[0] = 0
+    with open(path, "wb") as fh:
+        pickle.dump(ty, fh)
+    node = int((tmp_path / "ind.cora.test.index").read_text().split()[0])
+    conf = tmp_path / "planetoid.conf"
+    conf.write_text("dataset = planetoid:cora\nh1 = 1\nh2 = 0\n")
+    with pytest.warns(UserWarning, match="published"):
+        code = main(["train", "--config", str(conf), "--data-root", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"test split names unlabeled node {node}" in captured.err
 
 
 # -------------------------------------------------------------- evaluation
@@ -408,18 +428,24 @@ def test_gradient_check_with_sparse_features():
         assert gradient_check(h1, h2, graph=g) < 1e-6
 
 
-def dense_row_sets(m, rows) -> list:
-    """Each GCN layer's rows in forward order, read off S's dense pattern
-    one layer at a time: the stored pattern of P, and that of A @ A when
-    the mix has a wedge term."""
+def pattern(M) -> sp.csr_matrix:
+    """M's stored pattern, explicit zeros included, as ones."""
+    return sp.csr_matrix((np.ones(M.nnz), M.indices, M.indptr), M.shape)
+
+
+def dense_row_sets(m, rows) -> tuple[list, np.ndarray]:
+    """Each GCN layer's rows in forward order, and the input rows the
+    bottom layer reads, read off S's dense pattern one layer at a time:
+    the stored pattern of P, and that of A @ A when the mix has a wedge
+    term."""
     S = m.mixed_matrix
-    reads = sp.csr_matrix((np.ones(S.P.nnz), S.P.indices, S.P.indptr), S.shape).toarray() > 0
+    reads = pattern(S.P).toarray() > 0
     if S.c:
-        reads |= (S.A_out @ S.A_in).toarray() > 0
+        reads |= (pattern(S.A_out) @ pattern(S.A_in)).toarray() > 0
     sets = [np.unique(rows)]
-    for _ in range(m.config.h1 - 1):
+    for _ in range(m.config.h1):
         sets.append(np.flatnonzero(reads[sets[-1]].any(axis=0)))
-    return sets[::-1]
+    return sets[-2::-1], sets[-1]
 
 
 @pytest.mark.parametrize("recipe", ["edge:8,triangle:1,wedge:2", "edge:1", "triangle:1",
@@ -435,13 +461,18 @@ def test_walk_reads_no_extra_rows(monkeypatch, recipe, seed):
     S = m.mixed_matrix
     dense = S.to_scipy().toarray()
     for rows in (rng.choice(30, 2, replace=False), rng.choice(30, 6, replace=False)):
-        expected = dense_row_sets(m, rows)
-        steps = S.walk(np.unique(rows), m.config.h1)
+        expected, expected_inputs = dense_row_sets(m, rows)
+        steps, inputs = S.walk(np.unique(rows), m.config.h1)
         assert all(np.array_equal(R, want)
                    for (R, _), want in zip(steps, expected, strict=True))
+        # S itself computes every row, so it reads every input row.
+        if expected[0].size == 30:
+            assert inputs is None
+        else:
+            assert np.array_equal(inputs, expected_inputs)
         # A restriction is S with the rows (or columns) outside R zeroed.
-        fit_ops, grad_ops = fit_operators(m, rows)
-        for ops, axis in ((fit_ops, 0), (grad_ops, 1), (row_operators(m, rows), 0)):
+        fit, grad_ops = fit_plan(m, rows)
+        for ops, axis in ((fit.operators, 0), (grad_ops, 1), (row_plan(m, rows).operators, 0)):
             for op, R in zip(ops, expected, strict=True):
                 kept = np.zeros(30, dtype=bool)
                 kept[R] = True
@@ -455,8 +486,8 @@ def test_every_operator_is_read_only():
     g = random_graph(np.random.default_rng(2), 300, 0.01, feature_dim=8, n_classes=3)
     m = build_model(ModelConfig(recipe=MIXED), g)
     rows = np.arange(0, 300, 50)
-    fit_ops, grad_ops = fit_operators(m, rows)
-    ops = [m.mixed_matrix, *fit_ops, *grad_ops, *row_operators(m, rows)]
+    fit, grad_ops = fit_plan(m, rows)
+    ops = [m.mixed_matrix, *fit.operators, *grad_ops, *row_plan(m, rows).operators]
     assert sum(op is not m.mixed_matrix for op in ops) == 6
     for op in ops:
         for part in (op.s, *(a for M in (op.P, op.A_out, op.A_in)
@@ -486,13 +517,14 @@ def test_sparse_graph_features_are_read_only(rng):
     assert X[r, c] == 0
 
 
-def write_planetoid_layout(directory, n=40, n_features=30, seed=0):
+def write_planetoid_layout(directory, n=40, n_features=30, seed=0, p_link=(0.3, 0.02)):
     """Two planted communities with sparse binary features in the Planetoid
-    8-file layout: nodes 0-7 train, 8-27 validation, 28-39 test."""
+    8-file layout: nodes 0-7 train, 8-27 validation, 28-39 test. A pair
+    is linked with probability ``p_link`` = (within, across) communities."""
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % 2
     same = labels[:, None] == labels[None, :]
-    linked = np.triu(rng.random((n, n)) < np.where(same, 0.3, 0.02), 1)
+    linked = np.triu(rng.random((n, n)) < np.where(same, *p_link), 1)
     graph = {u: [int(v) for v in np.flatnonzero(linked[u])] for u in range(n)}
     topic = (np.arange(n_features) % 2)[None, :] == labels[:, None]
     X = sp.csr_matrix(rng.random((n, n_features)) < np.where(topic, 0.3, 0.03),
@@ -551,10 +583,18 @@ def test_train_equals_full_path(small_dataset, small_splits, monkeypatch, h1, h2
 
 
 def test_train_equals_full_path_with_sparse_features(tmp_path, monkeypatch):
-    write_planetoid_layout(tmp_path)
+    # Sparse enough that each split reads a strict subset of X's rows
+    # when every restriction is built; the graph holds 2 triangles.
+    write_planetoid_layout(tmp_path, seed=2, p_link=(0.1, 0.0))
     with pytest.warns(UserWarning, match="published"):
         ds, splits = load_planetoid(tmp_path, "cora")
     config = ModelConfig(h1=2, h2=1, recipe=MIXED, seed=9, max_epochs=30)
+    m = build_model(config, ds.graph)
+    with monkeypatch.context() as patch:
+        patch.setattr(motifs, "FULL_FRACTION", np.inf)
+        plans = [fit_plan(m, splits.train)[0], row_plan(m, splits.validation),
+                 row_plan(m, splits.test)]
+    assert all(p.inputs.size < ds.graph.n_nodes for p in plans)
     (report, weights, protocol), (report_full, weights_full, protocol_full) = (
         full_path_runs(monkeypatch, config, ds, splits))
     assert report == report_full
@@ -565,16 +605,21 @@ def test_train_equals_full_path_with_sparse_features(tmp_path, monkeypatch):
 def test_gradient_check_through_restricted_operators(monkeypatch):
     # gradient_check trains on the even nodes. The odd nodes hang off them
     # in chains, so the train rows reach some in one hop, more in two
-    # (through the wedge term), and nodes 5 and 15 never: no operator that
-    # train builds is the full one.
+    # (through the wedge term), and nodes 9 and 11 (6 and 5 hops away)
+    # never: no operator that train builds is the full one, and the
+    # bottom layer reads a strict subset of X's rows, dense or sparse.
     rng = np.random.default_rng(5)
     pairs = 2 * np.argwhere(np.triu(rng.random((8, 8)) < 0.5, 1))
-    chains = [(0, 1), (1, 3), (3, 5), (2, 7), (7, 9), (4, 11), (11, 13), (13, 15)]
-    g = Graph(16, np.vstack([pairs, chains]), features=rng.standard_normal((16, 6)),
-              labels=rng.integers(0, 3, 16), n_classes=3)
+    chains = [(0, 1), (1, 3), (3, 5), (5, 7), (7, 9), (9, 11), (2, 13), (13, 15)]
+    X = rng.standard_normal((16, 6))
+    labels = rng.integers(0, 3, 16)
     monkeypatch.setattr(motifs, "FULL_FRACTION", np.inf)
-    for h1, h2 in ((2, 1), (1, 0)):
-        m = build_model(ModelConfig(h1=h1, h2=h2, recipe=MIXED), g)
-        fit_ops, grad_ops = fit_operators(m, np.arange(0, 16, 2))
-        assert all(op is not m.mixed_matrix for op in fit_ops + grad_ops)
-        assert gradient_check(h1, h2, graph=g) < 1e-6
+    for features in (X, sp.csr_matrix(X * (rng.random((16, 6)) < 0.5))):
+        g = Graph(16, np.vstack([pairs, chains]), features=features, labels=labels,
+                  n_classes=3)
+        for h1, h2 in ((2, 1), (1, 0)):
+            m = build_model(ModelConfig(h1=h1, h2=h2, recipe=MIXED), g)
+            fit, grad_ops = fit_plan(m, np.arange(0, 16, 2))
+            assert all(op is not m.mixed_matrix for op in fit.operators + grad_ops)
+            assert not np.isin([9, 11], fit.inputs).any()
+            assert gradient_check(h1, h2, graph=g) < 1e-6

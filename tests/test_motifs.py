@@ -288,6 +288,25 @@ def test_mix_output_symmetric(rng):
         check_symmetric(mix_matrices(recipe, g).to_scipy(), 1e-12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_mix_folds_wedge_scaling_into_a_in(seed):
+    # A_in = A·diag(s) keeps A's pattern, explicit zeros included, so a
+    # walk reads the same rows; and A_in @ Y sums the rounded products
+    # s_j·y_j of A @ (s∘Y), as long as scipy does not fuse y += a·x. A
+    # graph with an isolated edge has nodes with s = 0.
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, 30, 0.1)
+    g = Graph(32, np.vstack([g.edges.reshape(-1, 2), [(30, 31)]]))
+    A = build_adjacency(g)
+    mixed = mix_matrices(MixRecipe.parse("edge:8,triangle:1,wedge:2"), g)
+    for M in (mixed.A_out, mixed.A_in):
+        assert np.array_equal(M.indices, A.indices) and np.array_equal(M.indptr, A.indptr)
+    assert np.array_equal(mixed.A_out.data, A.data)
+    assert not mixed.s[30:].any() and (mixed.A_in.data == 0).any()
+    Y = rng.standard_normal((32, 5))
+    assert np.array_equal(mixed.A_in @ Y, A @ (mixed.s[:, None] * Y))
+
+
 def test_mix_drops_all_zero_component(path3):
     with pytest.warns(UserWarning, match="triangle"):
         mixed = mix_matrices(MixRecipe.parse("edge:1,triangle:1"), path3)

@@ -10,6 +10,7 @@ from motifgcn.nn import (
     cross_entropy_loss,
     dropout_forward,
     glorot_init,
+    keep_rows,
     spmm,
 )
 
@@ -157,3 +158,50 @@ def test_sparse_dropout_matches_dense_when_all_stored(rng):
     assert sp.issparse(out_s)
     assert mask_s is None
     assert np.array_equal(out_s.toarray(), out_d)
+
+
+def sparse_rows_case(seed):
+    """A CSR matrix with empty rows, and a sorted row set holding some of
+    them, its first and last rows included."""
+    rng = np.random.default_rng(seed)
+    X = sp.random(40, 25, density=0.15, format="csr", random_state=seed)
+    X = sp.csr_matrix(X.multiply(rng.random((40, 1)) < 0.8))  # some empty rows
+    rows = np.union1d([0, 39], rng.choice(40, 15, replace=False))
+    return X, rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_restricted_sparse_dropout_equals_full_on_those_rows(seed):
+    X, rows = sparse_rows_case(seed)
+    full, _ = dropout_forward(X, 0.4, np.random.default_rng(seed), training=True)
+    rng = np.random.default_rng(seed)
+    out, mask = dropout_forward(X, 0.4, rng, training=True, rows=rows)
+    assert mask is None and out.shape == X.shape
+    dense_full, dense_out = full.toarray(), out.toarray()
+    assert np.array_equal(dense_out[rows], dense_full[rows])
+    assert not np.delete(dense_out, rows, axis=0).any()
+    # one draw per stored value of X, so the stream moves on as without rows
+    ref = np.random.default_rng(seed)
+    ref.random(X.nnz)
+    assert rng.random() == ref.random()
+    # keep_rows removes the same rows' values without drawing
+    assert np.array_equal(keep_rows(X, rows).toarray(), np.where(
+        np.isin(np.arange(40), rows)[:, None], X.toarray(), 0.0))
+    assert keep_rows(X, None) is X
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_csr_products_round_alike_on_any_rows(seed):
+    # Each input pass reads only the rows it needs and relies on this: a
+    # CSR product sums each row alone, in stored order, so removing other
+    # rows changes no bit of the rows kept. It is not true of dense BLAS
+    # products, which stay on all rows.
+    X, rows = sparse_rows_case(seed)
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((25, 7))
+    Xr = keep_rows(X, rows)
+    assert np.array_equal(X[rows] @ W, (X @ W)[rows])
+    assert np.array_equal((Xr @ W)[rows], (X @ W)[rows])
+    d = np.zeros((40, 7))
+    d[rows] = rng.standard_normal((rows.size, 7))
+    assert np.array_equal(Xr.T @ d, X.T @ d)

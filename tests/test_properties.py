@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from motifgcn import motifs
 from motifgcn.graph import Graph, build_adjacency, check_symmetric
-from motifgcn.model import ModelConfig, backward, build_model, fit_operators, forward, row_operators
+from motifgcn.nn import keep_rows
+from motifgcn.model import ModelConfig, backward, build_model, fit_plan, forward, row_plan
 from motifgcn.motifs import (
     MatrixSource,
     MixRecipe,
@@ -151,9 +152,9 @@ CHAIN = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7)])  # node 8 iso
 @example(star(5), ("wedge",), 2, 0, True, [3], [1, 2], motifs.FULL_FRACTION)
 def test_restricted_passes_equal_full_path(g, sources, h1, h2, sparse, train, read,
                                            fraction):
-    """Forward on the rows that are read, and the training gradients, equal
-    the full path bit for bit, whether or not near-full operators fall back
-    to the full one."""
+    """Forward on the rows that are read, from X sliced to the rows they
+    reach, and the training gradients equal the full path bit for bit,
+    whether or not near-full restrictions fall back to the full path."""
     g = with_features(g, sparse)
     recipe = MixRecipe(tuple(zip(sources, [8.0, 1.0, 2.0])))
     config = ModelConfig(h1=h1, h2=h2, hidden_dim=4, recipe=recipe, seed=g.n_nodes)
@@ -166,20 +167,21 @@ def test_restricted_passes_equal_full_path(g, sources, h1, h2, sparse, train, re
     train = np.unique(np.array(train) % g.n_nodes)
     read = np.unique(np.array(read) % g.n_nodes)
     with mock.patch.object(motifs, "FULL_FRACTION", fraction):
-        fit_ops, grad_ops = fit_operators(m, train)
-        read_ops = row_operators(m, read)
+        fit, grad_ops = fit_plan(m, train)
+        read_plan = row_plan(m, read)
 
     X, y = g.features, g.labels
-    assert np.array_equal(forward(m, X, operators=read_ops)[read], forward(m, X)[read])
+    assert np.array_equal(forward(m, keep_rows(X, read_plan.inputs), plan=read_plan)[read],
+                          forward(m, X)[read])
     Z, tape = forward(m, X, training=True, rng=np.random.default_rng(0), with_tape=True,
-                      operators=fit_ops)
+                      plan=fit)
     Z_full, tape_full = forward(m, X, training=True, rng=np.random.default_rng(0),
                                 with_tape=True)
     assert np.array_equal(Z[train], Z_full[train])
     for grad, grad_full in zip(backward(m, tape, y, train, operators=grad_ops),
                                backward(m, tape_full, y, train)):
         assert np.array_equal(grad, grad_full)
-    for op in fit_ops + grad_ops + read_ops:
+    for op in fit.operators + grad_ops + read_plan.operators:
         assert op.shape == m.mixed_matrix.shape and op.nnz <= m.mixed_matrix.nnz
 
 
