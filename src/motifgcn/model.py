@@ -35,11 +35,23 @@ row subset differently from the same rows of the full product. A CSR
 product sums each row alone, in stored order, so it rounds the same on
 any rows. ``forward`` and ``backward`` run the full path when given no
 plan or operators.
+
+Each epoch's validation pass runs beside the next training step. The
+pass after Adam step t and the forward and backward of step t+1 both
+read the weights W_t and nothing of each other, so ``train`` hands the
+pass to a one-worker helper thread and joins it before Adam step t+1,
+where epoch t's early-stopping bookkeeping happens. A run that epoch t
+stops throws step t+1 away, so every result is that of the sequential
+loop. ``train`` keeps the sequential loop when several runs of
+``_train_seeds`` already share the cores, and when the validation pass
+applies S itself at its bottom layer.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,6 +76,13 @@ __all__ = [
     "run_protocol",
     "grid_search",
 ]
+
+# True while ``train`` runs as one of several runs that share the cores
+# (``_train_seeds`` with threads >= 2 over two runs or more). They fill
+# the cores already: with the validation overlap on as well, 4
+# Pubmed-shaped runs on 2 threads went from 5 % faster to 9 % slower.
+_SHARED_CORES = ContextVar("shared_cores", default=False)
+
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, epoch: int):
@@ -122,13 +141,18 @@ class Plan:
         operators: for each GCN layer, the operator it applies in place
             of the mixed operator: S with the rows it does not compute
             removed.
-        inputs: the rows of X that the bottom GCN layer reads.
+        inputs: the rows of X that the bottom GCN layer reads; None for
+            a dense X too, which every dense product reads whole.
         outputs: the rows of the network output that are read.
+        stored: the positions of a CSR X's stored values in ``inputs``
+            (``nn.stored_in``), which training dropout keeps; found once
+            per ``fit_plan``.
     """
 
     operators: list | None = None
     inputs: np.ndarray | None = None
     outputs: np.ndarray | None = None
+    stored: np.ndarray | None = None
 
 
 @dataclass
@@ -193,17 +217,20 @@ def forward(model: Model, X, training: bool = False, rng=None,
     operators = [model.mixed_matrix] * h1 if plan.operators is None else plan.operators
     out = slice(None) if plan.outputs is None else plan.outputs
     for k, W in enumerate(model.weights):
-        Hin, mask = nn.dropout_forward(H, rate, rng, training, plan.inputs if k == 0 else None)
-        # Diverged weights overflow to inf; train reports TrainingDiverged.
-        with np.errstate(over="ignore"):
+        rows, at = (plan.inputs, plan.stored) if k == 0 else (None, None)
+        Hin, mask = nn.dropout_forward(H, rate, rng, training, rows, at)
+        # Diverged weights overflow to inf, and inf times 0 or minus inf
+        # is nan, in the product or the softmax; train reports
+        # TrainingDiverged.
+        with np.errstate(over="ignore", invalid="ignore"):
             pre = Hin @ W
-        if k < h1:
-            pre = nn.spmm(operators[k], pre)
-        if k == last:
-            H = np.zeros_like(pre)
-            H[out] = nn.softmax_rows(pre[out])
-        else:
-            H = nn.relu(pre)
+            if k < h1:
+                pre = nn.spmm(operators[k], pre)
+            if k == last:
+                H = np.zeros_like(pre)
+                H[out] = nn.softmax_rows(pre[out])
+            else:
+                H = nn.relu(pre)
         tape.append((Hin, mask, H))
     return (H, tape) if with_tape else H
 
@@ -276,27 +303,34 @@ def evaluate(model: Model, X, labels: np.ndarray, mask) -> float:
     idx = nn.as_index(mask)
     if idx.size == 0:
         raise ValueError("evaluate: empty mask")
-    plan = row_plan(model, idx)
+    plan = row_plan(model, idx, X)
     Z = forward(model, nn.keep_rows(X, plan.inputs), training=False, plan=plan)
     return _accuracy(Z, labels, idx)
 
 
-def row_plan(model: Model, rows) -> Plan:
-    """``forward``'s plan for an output read on ``rows``."""
-    return _walk(model, rows)[0]
+def row_plan(model: Model, rows, X=None) -> Plan:
+    """``forward``'s plan for an output read on ``rows``.
+
+    The rows of X that the bottom layer reads are found for a CSR X, or
+    when no X is given; a dense X is read whole by every product."""
+    return _walk(model, rows, X)[0]
 
 
-def fit_plan(model: Model, train_idx) -> tuple[Plan, list]:
+def fit_plan(model: Model, train_idx, X=None) -> tuple[Plan, list]:
     """``forward``'s plan and ``backward``'s operators for a loss read on
-    ``train_idx``: one walk serves both passes."""
-    plan, steps = _walk(model, train_idx)
+    ``train_idx``: one walk serves both passes. ``X`` is as in
+    ``row_plan``; for a CSR X the plan also holds the positions of its
+    stored values in the input rows, which training dropout keeps."""
+    plan, steps = _walk(model, train_idx, X)
+    if plan.inputs is not None and sp.issparse(X):
+        plan = replace(plan, stored=nn.stored_in(X.indptr, plan.inputs))
     return plan, [model.mixed_matrix.columns(*step) for step in steps]
 
 
-def _walk(model: Model, rows) -> tuple[Plan, list]:
+def _walk(model: Model, rows, X) -> tuple[Plan, list]:
     S = model.mixed_matrix
     outputs = np.unique(rows)
-    steps, inputs = S.walk(outputs, model.config.h1)
+    steps, inputs = S.walk(outputs, model.config.h1, inputs=X is None or sp.issparse(X))
     return Plan([S.rows(*step) for step in steps], inputs, outputs), steps
 
 
@@ -314,6 +348,19 @@ def train(config: ModelConfig, dataset, splits,
     caller already holds it, else it is built here. Raises ValueError
     before the first epoch when a split is empty, an index lies outside
     [0, N), or an index names an unlabeled node.
+
+    Epoch t's validation pass and epoch t+1's training forward and
+    backward both read the weights W_t alone, so the pass runs on a
+    one-worker helper thread while the step runs here. Its result is
+    joined before Adam step t+1, and epoch t's bookkeeping (best epoch,
+    patience) follows. When epoch t stops the run, step t+1 is thrown
+    away, its dropout draws with it; its non-finite loss or error
+    surfaces only when epoch t does not stop the run. So the results are
+    those of running the two one after the other, which ``train`` does
+    instead when several runs of ``_train_seeds`` share the cores, or
+    when the validation pass applies S itself at its bottom layer: on the
+    50k-node benchmark graph the overlap then measured up to 13 % slower
+    per epoch (ROADMAP dead ends).
     """
     graph = dataset.graph
     train_idx = nn.as_index(splits.train)
@@ -328,43 +375,68 @@ def train(config: ModelConfig, dataset, splits,
         if unlabeled.size:
             raise ValueError(f"{name} split names unlabeled node {unlabeled[0]}")
     model = build_model(config, graph, mixed=mixed)
+    X = graph.features
     # Each pass computes only the rows it reads: training reads the train
     # rows, evaluation the validation rows.
-    fit, grad_ops = fit_plan(model, train_idx)
-    val = row_plan(model, val_idx)
+    fit, grad_ops = fit_plan(model, train_idx, X)
+    val = row_plan(model, val_idx, X)
     rng = np.random.default_rng((config.seed, 0xD0))  # dropout stream
-    X = graph.features
     X_val = nn.keep_rows(X, val.inputs)
     y = graph.labels
 
     W = model.weights
     m = [np.zeros_like(w) for w in W]  # Adam moment estimates
     v = [np.zeros_like(w) for w in W]
-    train_losses, val_losses, val_accs = [], [], []
-    best_val = np.inf
-    best_epoch = 0
-    best_weights = None
-    for epoch in range(1, config.max_epochs + 1):
+
+    tape = None
+
+    def step(epoch):
+        """Training loss and gradients at the current weights."""
+        # The previous step's tape is released only when this forward pass
+        # returns, so the pass reuses its pages. Released before the
+        # validation pass, they went back to the system, and a powerlaw
+        # train took 1.5 s instead of 1.2 s, with up to 4x the page faults.
+        nonlocal tape
         Z, tape = forward(model, X, training=True, rng=rng, with_tape=True, plan=fit)
         loss = regularized_loss(model, Z, y, train_idx)
         if not np.isfinite(loss):
             raise TrainingDiverged(epoch)
-        grads = backward(model, tape, y, train_idx, operators=grad_ops)
-        for k, g in enumerate(grads):
-            W[k], m[k], v[k] = nn.adam_step(W[k], m[k], v[k], g, config.learning_rate, epoch)
+        return loss, backward(model, tape, y, train_idx, operators=grad_ops)
 
-        Z_eval = forward(model, X_val, training=False, plan=val)
-        val_loss = nn.cross_entropy_loss(Z_eval, y, val_idx)
-        train_losses.append(loss)
-        val_losses.append(val_loss)
-        val_accs.append(_accuracy(Z_eval, y, val_idx))
+    def validation():
+        Z = forward(model, X_val, training=False, plan=val)
+        return nn.cross_entropy_loss(Z, y, val_idx), _accuracy(Z, y, val_idx)
 
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best_weights = [w.copy() for w in W]
-        elif epoch - best_epoch >= config.patience:
-            break
+    train_losses, val_losses, val_accs = [], [], []
+    best_val = np.inf
+    best_epoch = 0
+    best_weights = None
+    overlap = not _SHARED_CORES.get() and val.operators[0] is not model.mixed_matrix
+    helper = ThreadPoolExecutor(1, thread_name_prefix="validation") if overlap else None
+    with helper or nullcontext():
+        ahead = None  # step t+1, run beside epoch t's validation pass
+        for epoch in range(1, config.max_epochs + 1):
+            loss, grads = step(epoch) if ahead is None else ahead.result()
+            for k, g in enumerate(grads):
+                W[k], m[k], v[k] = nn.adam_step(W[k], m[k], v[k], g, config.learning_rate,
+                                                epoch)
+            ahead = None
+            if helper is not None and epoch < config.max_epochs:
+                pending = helper.submit(validation)
+                ahead = _settled(step, epoch + 1)
+                val_loss, val_acc = pending.result()
+            else:
+                val_loss, val_acc = validation()
+            train_losses.append(loss)
+            val_losses.append(val_loss)
+            val_accs.append(val_acc)
+
+            if val_loss < best_val:
+                best_val = val_loss
+                best_epoch = epoch
+                best_weights = [w.copy() for w in W]
+            elif epoch - best_epoch >= config.patience:
+                break
 
     model.weights = best_weights
     test_acc = evaluate(model, X, y, test_idx)
@@ -379,6 +451,16 @@ def train(config: ModelConfig, dataset, splits,
     return model, report
 
 
+def _settled(fn, *args) -> Future:
+    """fn(*args), run now, as a done Future holding its result or error."""
+    done = Future()
+    try:
+        done.set_result(fn(*args))
+    except Exception as exc:  # raised when the result is read, if it is
+        done.set_exception(exc)
+    return done
+
+
 def _train_seeds(config: ModelConfig, dataset, splits, n_runs: int,
                  threads: int = 1) -> list:
     """TrainReports of seeds seed+0 ... seed+n_runs-1 in seed order, so
@@ -387,9 +469,14 @@ def _train_seeds(config: ModelConfig, dataset, splits, n_runs: int,
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     mixed = mix_matrices(config.recipe, dataset.graph)
+    shared = min(threads, n_runs) > 1
 
     def one(i):
-        return train(replace(config, seed=config.seed + i), dataset, splits, mixed=mixed)[1]
+        token = _SHARED_CORES.set(shared)  # in this worker thread's context
+        try:
+            return train(replace(config, seed=config.seed + i), dataset, splits, mixed=mixed)[1]
+        finally:
+            _SHARED_CORES.reset(token)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(one, range(n_runs)))

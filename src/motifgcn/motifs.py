@@ -25,8 +25,9 @@ closed form, ``d² + 3·A·d - 4d + C(d,2)``. The mix uses the split to
 apply the normalized wedge term as ``s∘(A @ (A_s @ Y))`` with
 A_s = A·diag(s) and never stores A², which is the densest matrix in the
 model (up to 2·|E|·d_max entries). Only ``wedge_motif_matrix`` forms
-A²; as A² is symmetric, ``(A @ A).T`` converted to CSR is A² with every
-row sorted, in one O(nnz) pass instead of a sort per row.
+A², and ``wedge_motif_nnz`` its boolean pattern; as A² is symmetric,
+``(A @ A).T`` converted to CSR is A² with every row sorted, in one
+O(nnz) pass instead of a sort per row.
 
 A model often reads only some rows of S @ Y, so ``S.rows(R, N1)`` and
 ``S.columns(R, N1)`` return S with the entries outside the rows R, or
@@ -64,6 +65,7 @@ __all__ = [
     "MotifError",
     "triangle_motif_matrix",
     "wedge_motif_matrix",
+    "wedge_motif_nnz",
     "motif_matrix_oracle",
     "normalize_symmetric",
     "mix_matrices",
@@ -165,6 +167,27 @@ def wedge_motif_matrix(A: sp.csr_matrix) -> sp.csr_matrix:
     # A² is symmetric, so its transpose as CSR is A² with sorted rows,
     # and the sum takes scipy's path for sorted inputs.
     return freeze_csr(B + (A @ A).T.tocsr())
+
+
+def wedge_motif_nnz(A: sp.csr_matrix, T: sp.csr_matrix) -> int:
+    """``wedge_motif_matrix(A).nnz`` without forming W, given the
+    triangle motif matrix ``T = triangle_motif_matrix(A)``.
+
+    W's support is pattern(A²) ∪ A less the four entries of each
+    isolated edge (both ends of degree 1), where W is 0; every other
+    entry of that union is positive. A² and A meet off the diagonal on
+    the edges that lie in a triangle, which is T's off-diagonal support,
+    so nnz(W) = nnz(A²) + nnz(A) − offdiag_nnz(T) − 4·(isolated edges).
+    A²'s pattern comes from a boolean product, whose sums are ORs, so
+    no count overflows or cancels.
+    """
+    _check_binary_adjacency(A)
+    B = A.astype(bool)
+    d = np.diff(A.indptr)
+    # Each isolated edge is stored twice, once from each end.
+    isolated_ends = np.count_nonzero((np.repeat(d, d) == 1) & (d[A.indices] == 1))
+    triangle_edges = T.nnz - np.count_nonzero(T.diagonal())
+    return int((B @ B).nnz + A.nnz - triangle_edges - 2 * isolated_ends)
 
 
 def _wedge_split(A: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -352,7 +375,8 @@ class MixedOperator:
         """S materialized as frozen canonical CSR, A_out·A_in entries included."""
         return freeze_csr(self.P + self.c * (sp.diags(self.s) @ (self.A_out @ self.A_in)))
 
-    def walk(self, rows: np.ndarray, depth: int) -> tuple[list, np.ndarray | None]:
+    def walk(self, rows: np.ndarray, depth: int,
+             inputs: bool = True) -> tuple[list, np.ndarray | None]:
         """(steps, inputs) for ``depth`` stacked applies of S whose last
         output is read on ``rows`` (sorted, distinct).
 
@@ -364,16 +388,17 @@ class MixedOperator:
         second through A from N1. ``inputs`` is the rows the bottom apply
         reads from its argument, found by the same step, or None (all
         rows) when that apply is S itself, as ``rows`` gives it when a
-        restriction would be near full. S's pattern is symmetric, so each
-        row set read is also where S @ d can be nonzero for a d that is
-        zero outside the R above it."""
+        restriction would be near full, or when the caller asks for no
+        ``inputs``, as for an argument read on every row anyway. S's
+        pattern is symmetric, so each row set read is also where S @ d can
+        be nonzero for a d that is zero outside the R above it."""
         steps = []
         for _ in range(depth):
             if steps:
                 rows = self._reads(*steps[-1])
             steps.append((rows, _columns_of(self.A_out[rows]) if self.c else rows[:0]))
-        inputs = None if self._near_full(*steps[-1]) else self._reads(*steps[-1])
-        return steps[::-1], inputs
+        read = inputs and not self._near_full(*steps[-1])
+        return steps[::-1], self._reads(*steps[-1]) if read else None
 
     def _reads(self, rows: np.ndarray, near: np.ndarray) -> np.ndarray:
         """The rows of Y that S @ Y reads to compute ``rows``, given their

@@ -27,6 +27,7 @@ __all__ = [
     "adam_step",
     "dropout_forward",
     "keep_rows",
+    "stored_in",
 ]
 
 PROB_FLOOR = 1e-12
@@ -96,7 +97,7 @@ def adam_step(W: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarray,
     return W, m, v
 
 
-def dropout_forward(H, rate: float, rng, training: bool, rows=None):
+def dropout_forward(H, rate: float, rng, training: bool, rows=None, at=None):
     """Inverted dropout. Returns (output, keep-scale mask).
 
     The mask already folds in the 1/(1-rate) rescale, so the backward
@@ -114,8 +115,11 @@ def dropout_forward(H, rate: float, rng, training: bool, rows=None):
     that are read. A value is still drawn for every stored value, so the
     stream moves on as without ``rows``, but the output keeps only the
     values in ``rows`` (as ``keep_rows`` does) and costs a product in
-    proportion to them. A dense H keeps every row: the dense products
-    that follow run on all rows.
+    proportion to them. ``at`` holds the positions of H's stored values
+    in ``rows`` (``stored_in(H.indptr, rows)``) when the caller has them,
+    as a training loop does once for all its epochs; else they are found
+    here. A dense H keeps every row: the dense products that follow run
+    on all rows.
     """
     if not 0 <= rate < 1:
         raise ValueError("dropout rate must be in [0, 1)")
@@ -127,7 +131,8 @@ def dropout_forward(H, rate: float, rng, training: bool, rows=None):
         if rows is None:
             kept = np.flatnonzero(drawn >= rate)
         else:
-            at = _stored_in(H.indptr, rows)
+            if at is None:
+                at = stored_in(H.indptr, rows)
             kept = at[np.flatnonzero(drawn[at] >= rate)]
         return _stored(H, kept, rows, scale), None
     mask = (rng.random(H.shape) >= rate) * scale
@@ -140,10 +145,10 @@ def keep_rows(H, rows):
     Each kept row is stored as in H, so a product sums it as H's would."""
     if rows is None or not sp.issparse(H):
         return H
-    return _stored(H, _stored_in(H.indptr, rows), rows)
+    return _stored(H, stored_in(H.indptr, rows), rows)
 
 
-def _stored_in(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def stored_in(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Sorted positions of the values a CSR matrix stores in ``rows``."""
     start = indptr[rows]
     count = indptr[rows + 1] - start

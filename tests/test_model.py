@@ -1,5 +1,7 @@
+import contextvars
 import dataclasses
 import pickle
+import threading
 import warnings
 
 import numpy as np
@@ -9,7 +11,7 @@ import scipy.sparse as sp
 from motifgcn.cli import main
 from motifgcn.data import Dataset, SplitSpec, Splits, load_planetoid, make_splits
 from motifgcn.graph import UNLABELED, Graph, build_adjacency
-from motifgcn import model as model_module, motifs
+from motifgcn import model as model_module, motifs, nn
 from motifgcn.motifs import MixRecipe, normalize_symmetric
 from motifgcn.model import (
     ModelConfig,
@@ -623,3 +625,178 @@ def test_gradient_check_through_restricted_operators(monkeypatch):
             assert all(op is not m.mixed_matrix for op in fit.operators + grad_ops)
             assert not np.isin([9, 11], fit.inputs).any()
             assert gradient_check(h1, h2, graph=g) < 1e-6
+
+
+# ------------------------------------------- validation beside the next step
+
+def sequential_train(config, dataset, splits):
+    """``train`` with each validation pass after its training step, as it
+    runs when several runs share the cores."""
+    context = contextvars.copy_context()
+    context.run(model_module._SHARED_CORES.set, True)
+    return context.run(train, config, dataset, splits)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """(thread, training) of each forward pass, in call order."""
+    calls = []
+    original = model_module.forward
+
+    def spy(*args, **kwargs):
+        calls.append((threading.current_thread(), kwargs.get("training", False)))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "forward", spy)
+    return calls
+
+
+def overlap_dataset(sparse: bool):
+    g = random_graph(np.random.default_rng(4), 150, 0.012, feature_dim=10, n_classes=3)
+    X = g.features
+    if sparse:
+        X = sp.csr_matrix(X * (np.random.default_rng(5).random(X.shape) < 0.3))
+    dataset = Dataset(Graph(g.n_nodes, g.edges, features=X, labels=g.labels, n_classes=3),
+                      "overlap")
+    spec = SplitSpec(per_class_train=5, val_fraction=0.3, test_fraction=0.3)
+    return dataset, make_splits(dataset, spec, seed=1)
+
+
+OVERLAP_CASES = {
+    "runs out": {"max_epochs": 25},
+    "early stop": {"max_epochs": 200, "patience": 1, "learning_rate": 0.2},
+    "one epoch": {"max_epochs": 1},
+    "diverges": {"max_epochs": 50, "learning_rate": 1e200, "dropout": 0.0},
+}
+
+
+@pytest.mark.parametrize("case", OVERLAP_CASES)
+@pytest.mark.parametrize("h1, h2", [(1, 0), (2, 1)])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_overlapped_validation_equals_sequential(monkeypatch, passes, case, h1, h2, sparse):
+    monkeypatch.setattr(motifs, "FULL_FRACTION", np.inf)  # S only where R is every row
+    dataset, splits = overlap_dataset(sparse)
+    config = ModelConfig(h1=h1, h2=h2, hidden_dim=8, recipe=MIXED, seed=7,
+                         **OVERLAP_CASES[case])
+    before = threading.active_count()
+    outcomes = []
+    for run in (train, sequential_train):
+        passes.clear()
+        try:
+            m, report = run(config, dataset, splits)
+            outcomes.append((report, m.weights))
+            validated, tested = report.epochs_run, [False]
+        except TrainingDiverged as exc:
+            outcomes.append(exc.epoch)
+            validated, tested = exc.epoch - 1, []
+        # Overlapped, every validation pass but that of the last epoch
+        # runs on the helper thread; the test pass runs here.
+        assert [t is not threading.main_thread() for t, training in passes
+                if not training] == [
+            run is train and epoch < config.max_epochs
+            for epoch in range(1, validated + 1)] + tested
+        assert threading.active_count() == before
+    (overlapped, sequential) = outcomes
+    if case == "diverges":
+        assert overlapped == sequential == 2
+        return
+    assert overlapped[0] == sequential[0]
+    assert all(np.array_equal(a, b) for a, b in zip(overlapped[1], sequential[1], strict=True))
+    if case == "early stop":
+        assert overlapped[0].epochs_run < config.max_epochs
+
+
+@pytest.mark.parametrize("fraction, threads, overlaps", [
+    (np.inf, 1, True), (np.inf, 2, False), (-1.0, 1, False)],
+    ids=["alone", "runs share the cores", "validation applies S"])
+def test_validation_overlaps_only_alone_and_restricted(monkeypatch, passes, fraction,
+                                                       threads, overlaps):
+    # Several runs on threads >= 2 already fill the cores, and a negative
+    # FULL_FRACTION makes the validation pass apply S itself at its bottom
+    # layer; in both cases each run validates on its own thread.
+    monkeypatch.setattr(motifs, "FULL_FRACTION", fraction)
+    dataset, splits = overlap_dataset(sparse=True)
+    config = ModelConfig(h1=2, h2=1, hidden_dim=8, recipe=MIXED, seed=7, max_epochs=4)
+    run_protocol(config, dataset, splits, n_runs=2, threads=threads)
+    training = {t for t, is_training in passes if is_training}
+    elsewhere = [t not in training for t, is_training in passes if not is_training]
+    assert any(elsewhere) == overlaps
+
+
+def test_validation_error_comes_out_of_train(monkeypatch):
+    monkeypatch.setattr(motifs, "FULL_FRACTION", np.inf)
+    dataset, splits = overlap_dataset(sparse=False)
+    raised_on = []
+
+    def broken(*args):
+        raised_on.append(threading.current_thread())
+        raise ArithmeticError("validation failed")
+
+    monkeypatch.setattr(model_module, "_accuracy", broken)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="validation failed"):
+        train(ModelConfig(h1=2, h2=1, recipe=MIXED, max_epochs=5), dataset, splits)
+    assert raised_on and raised_on[0] is not threading.main_thread()
+    assert threading.active_count() == before
+
+
+def test_step_after_the_last_epoch_is_thrown_away(monkeypatch):
+    # The step of epoch t+1 runs before epoch t's stop decision. Here it
+    # fails, which must not matter when epoch t stops the run.
+    monkeypatch.setattr(motifs, "FULL_FRACTION", np.inf)
+    dataset, splits = overlap_dataset(sparse=True)
+    config = ModelConfig(h1=2, h2=1, recipe=MIXED, seed=7, patience=1, learning_rate=0.2)
+    m, report = sequential_train(config, dataset, splits)
+    assert report.epochs_run < config.max_epochs
+    losses = iter(range(1, report.epochs_run + 2))
+    original = model_module.regularized_loss
+
+    def fails_after_the_stop(*args):
+        if next(losses) > report.epochs_run:
+            raise FloatingPointError("the step after the stop")
+        return original(*args)
+
+    monkeypatch.setattr(model_module, "regularized_loss", fails_after_the_stop)
+    m_overlapped, overlapped = train(config, dataset, splits)
+    assert next(losses, None) is None  # the step after the stop ran
+    assert overlapped == report
+    assert all(np.array_equal(a, b) for a, b in zip(m_overlapped.weights, m.weights))
+
+
+@pytest.mark.parametrize("h1", [1, 2])
+def test_plans_find_input_rows_only_for_sparse_features(monkeypatch, h1):
+    # A dense X is read whole, so the walk skips the hop to its input rows;
+    # a CSR X is read on those rows, and training dropout keeps their
+    # values at positions found once per plan.
+    monkeypatch.setattr(motifs, "FULL_FRACTION", np.inf)
+    dataset, splits = overlap_dataset(sparse=True)
+    X = dataset.graph.features
+    m = build_model(ModelConfig(h1=h1, h2=0, recipe=MIXED), dataset.graph)
+    hops = []
+    walk_step = motifs.MixedOperator._reads
+    monkeypatch.setattr(motifs.MixedOperator, "_reads",
+                        lambda S, *args: hops.append(1) or walk_step(S, *args))
+    for features, input_hop in ((X.toarray(), 0), (X, 1)):
+        hops.clear()
+        fit, _ = fit_plan(m, splits.train, features)
+        assert len(hops) == h1 - 1 + input_hop
+        if input_hop:
+            assert np.array_equal(fit.inputs, fit_plan(m, splits.train)[0].inputs)
+            assert np.array_equal(fit.stored, nn.stored_in(X.indptr, fit.inputs))
+            assert row_plan(m, splits.validation, features).stored is None
+        else:
+            assert fit.inputs is fit.stored is row_plan(m, splits.validation,
+                                                          features).inputs is None
+
+
+def test_training_finds_dropout_positions_once(monkeypatch):
+    dataset, splits = overlap_dataset(sparse=True)
+    found = []
+    original = nn.stored_in
+    monkeypatch.setattr(nn, "stored_in", lambda *args: found.append(1) or original(*args))
+    for epochs in (2, 6):
+        found.clear()
+        train(ModelConfig(h1=1, h2=0, recipe=MIXED, max_epochs=epochs, patience=10),
+              dataset, splits)
+        # the train plan, and the validation and test slices of X
+        assert len(found) == 3

@@ -15,6 +15,7 @@ from motifgcn.motifs import (
     triangle_motif_matrix,
     wedge_count,
     wedge_motif_matrix,
+    wedge_motif_nnz,
 )
 from motifgcn.verify import random_graph
 
@@ -51,7 +52,8 @@ def test_kernels_reject_bad_input(k3):
     with pytest.raises(MotifError):
         wedge_motif_matrix(with_diag)
     asymmetric = freeze_csr(sp.csr_matrix(np.triu(A.toarray())))
-    for kernel in (triangle_motif_matrix, wedge_motif_matrix):
+    for kernel in (triangle_motif_matrix, wedge_motif_matrix,
+                   lambda M: wedge_motif_nnz(M, triangle_motif_matrix(A))):
         with pytest.raises(GraphError):
             kernel(asymmetric)
 
@@ -133,6 +135,22 @@ def test_wedge_sparsity_and_support_bounds(rng):
         dense_A = A.toarray()
         reach = dense_A + dense_A @ dense_A
         assert np.all(reach[W.toarray() != 0] != 0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_wedge_nnz_without_forming_w(seed):
+    # W is 0 on all four entries of an isolated edge. Each sample is also
+    # checked with two isolated edges added, and a two-edge path whose
+    # ends have degree 1 but whose edges are not isolated.
+    rng = np.random.default_rng(seed)
+    for n, p in [(2, 1.0), (12, 0.05), (30, 0.04), (40, 0.1), (25, 0.4)] * 4:
+        g = random_graph(rng, n, p)
+        extra = [(n, n + 1), (n + 2, n + 3), (n + 4, n + 5), (n + 5, n + 6)]
+        for graph in (g, Graph(n + 7, np.vstack([g.edges.reshape(-1, 2), extra]))):
+            A = build_adjacency(graph)
+            assert wedge_motif_nnz(A, triangle_motif_matrix(A)) == wedge_motif_matrix(A).nnz
+    isolated = build_adjacency(Graph(4, [(0, 1), (2, 3)]))
+    assert wedge_motif_nnz(isolated, triangle_motif_matrix(isolated)) == 0
 
 
 def test_builders_return_frozen_canonical_csr(rng):

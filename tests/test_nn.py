@@ -12,6 +12,7 @@ from motifgcn.nn import (
     glorot_init,
     keep_rows,
     spmm,
+    stored_in,
 )
 
 
@@ -184,6 +185,12 @@ def test_row_restricted_sparse_dropout_equals_full_on_those_rows(seed):
     ref = np.random.default_rng(seed)
     ref.random(X.nnz)
     assert rng.random() == ref.random()
+    # the positions of the rows' values, found once by the caller
+    rng = np.random.default_rng(seed)
+    given, _ = dropout_forward(X, 0.4, rng, training=True, rows=rows,
+                               at=stored_in(X.indptr, rows))
+    assert np.array_equal(given.toarray(), dense_out)
+    assert rng.random() == np.random.default_rng(seed).random(X.nnz + 1)[-1]
     # keep_rows removes the same rows' values without drawing
     assert np.array_equal(keep_rows(X, rows).toarray(), np.where(
         np.isin(np.arange(40), rows)[:, None], X.toarray(), 0.0))
