@@ -77,6 +77,17 @@ def _canonical_adjacency(n: int, edges: np.ndarray) -> tuple[np.ndarray, sp.csr_
     return pairs, adj
 
 
+def _without_loops(adj: sp.csr_matrix) -> sp.csr_matrix:
+    """A frozen adjacency with its diagonal entries removed, each row
+    otherwise stored as in ``adj``."""
+    row_of = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
+    off = adj.indices != row_of
+    kept_before = np.concatenate([[0], np.cumsum(off)])
+    indptr = kept_before[adj.indptr].astype(adj.indptr.dtype)
+    return freeze_csr(sp.csr_matrix((adj.data[off], adj.indices[off], indptr),
+                                    shape=adj.shape))
+
+
 def _freeze_features(features):
     """Read-only float64 copy: a dense array, or canonical CSR for sparse input."""
     if not sp.issparse(features):
@@ -116,13 +127,17 @@ class Graph:
     _neighbors: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        edges, adj = _canonical_adjacency(self.n_nodes, rows)
-        if adj.diagonal().any():
-            raise GraphError("self-loop in edge list")
-        if edges.shape[0] < rows.shape[0]:
-            raise GraphError("duplicate edge in edge list")
-        object.__setattr__(self, "edges", _freeze(edges))
+        # ``from_edge_list`` sets the adjacency it built from these edges
+        # before it calls __init__; every other caller has it built here.
+        if not hasattr(self, "_neighbors"):
+            rows = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+            edges, adj = _canonical_adjacency(self.n_nodes, rows)
+            if adj.diagonal().any():
+                raise GraphError("self-loop in edge list")
+            if edges.shape[0] < rows.shape[0]:
+                raise GraphError("duplicate edge in edge list")
+            object.__setattr__(self, "edges", _freeze(edges))
+            object.__setattr__(self, "_neighbors", adj)
         if self.features is not None:
             feats = _freeze_features(self.features)
             if feats.shape[0] != self.n_nodes:
@@ -136,7 +151,6 @@ class Graph:
             if present.size and (present.min() < 0 or present.max() >= self.n_classes):
                 raise GraphError("label out of range [0, n_classes)")
             object.__setattr__(self, "labels", _freeze(labels))
-        object.__setattr__(self, "_neighbors", adj)
 
     @classmethod
     def from_edge_list(cls, n_nodes, raw_edges, **kwargs) -> "Graph":
@@ -144,18 +158,22 @@ class Graph:
 
         Every row is range-checked; then self-loops are dropped and
         repeated pairs, in either orientation, collapsed. The counts of
-        dropped lines are kept on the instance.
+        dropped lines are kept on the instance. The adjacency is built
+        once, here, and equals the one ``Graph`` builds from the pairs.
         """
         raw = np.asarray(raw_edges, dtype=np.int64).reshape(-1, 2)
-        pairs, _ = _canonical_adjacency(n_nodes, raw)
+        pairs, adj = _canonical_adjacency(n_nodes, raw)
         loops = int(np.count_nonzero(raw[:, 0] == raw[:, 1]))
-        return cls(
+        graph = cls.__new__(cls)
+        object.__setattr__(graph, "_neighbors", _without_loops(adj) if loops else adj)
+        graph.__init__(
             n_nodes,
-            pairs,
+            _freeze(pairs),
             dropped_self_loops=loops,
             dropped_duplicates=raw.shape[0] - loops - pairs.shape[0],
             **kwargs,
         )
+        return graph
 
     @property
     def n_edges(self) -> int:

@@ -24,11 +24,12 @@ columns removed (again a ``MixedOperator``), the rows of X the bottom
 layer reads, and the split's rows, which are all that the softmax
 computes and the loss and accuracy read.
 
-Both ends of the network compute only those rows. The training
-dropout draws a value for every stored value of a sparse X, so the
-stream is the same, and keeps the values in the input rows, so the
-first product ``Hin @ W`` costs in proportion to them; evaluation
-slices a sparse X to its input rows once per split. Every array keeps
+Both ends of the network compute only those rows. Training dropout on
+a sparse X draws only for the stored values in the input rows, each
+draw keyed by the value's position, so a value is kept or dropped as
+on the full path; dropout and the first product ``Hin @ W`` cost in
+proportion to those values. Evaluation slices a sparse X to its input
+rows once per split. Every array keeps
 all N rows, with zeros where nothing is computed, and the dense
 products ``Hin @ W`` run on all of them: BLAS may round a product on a
 row subset differently from the same rows of the full product. A CSR
@@ -145,8 +146,8 @@ class Plan:
             a dense X too, which every dense product reads whole.
         outputs: the rows of the network output that are read.
         stored: the positions of a CSR X's stored values in ``inputs``
-            (``nn.stored_in``), which training dropout keeps; found once
-            per ``fit_plan``.
+            (``nn.stored_in``), the only ones training dropout draws for
+            and keeps; found once per ``fit_plan``.
     """
 
     operators: list | None = None
@@ -320,7 +321,8 @@ def fit_plan(model: Model, train_idx, X=None) -> tuple[Plan, list]:
     """``forward``'s plan and ``backward``'s operators for a loss read on
     ``train_idx``: one walk serves both passes. ``X`` is as in
     ``row_plan``; for a CSR X the plan also holds the positions of its
-    stored values in the input rows, which training dropout keeps."""
+    stored values in the input rows, the only ones training dropout
+    draws for."""
     plan, steps = _walk(model, train_idx, X)
     if plan.inputs is not None and sp.issparse(X):
         plan = replace(plan, stored=nn.stored_in(X.indptr, plan.inputs))

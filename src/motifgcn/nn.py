@@ -9,6 +9,7 @@ full forward/backward pass.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,6 +35,14 @@ PROB_FLOOR = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+
+# SplitMix64: the golden-ratio increment γ and the finalizer's
+# (xor-shift, multiply) rounds, then a last xor-shift.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_LAST_SHIFT = np.uint64(31)
+_CHUNK = 1 << 16  # positions hashed at a time by sparse dropout
 
 
 def as_index(mask) -> np.ndarray:
@@ -101,23 +110,29 @@ def dropout_forward(H, rate: float, rng, training: bool, rows=None, at=None):
     """Inverted dropout. Returns (output, keep-scale mask).
 
     The mask already folds in the 1/(1-rate) rescale, so the backward
-    pass is just an elementwise multiply with it.
+    pass is just an elementwise multiply with it. A dense H draws
+    ``rng.random(H.shape)`` and keeps each entry drawn at least ``rate``.
 
-    For a scipy CSR H only the stored values are dropped, one draw
-    each (the ``sparse_dropout`` of Kipf & Welling's GCN): dropping a
-    zero changes nothing. The output is a new CSR matrix holding the
-    kept values, scaled as the dense path scales them. A sparse H is
-    only ever the network input, whose gradient is never formed, so it
-    gets no mask (None). With every value stored, the draws and the
-    output equal those of the dense path.
+    For a scipy CSR H only the stored values are dropped (the
+    ``sparse_dropout`` of Kipf & Welling's GCN): dropping a zero changes
+    nothing. The call takes one 64-bit key from ``rng``, and the value
+    stored at position p (its index in ``H.data``) is kept iff
+    u(key, p) >= rate, where u is the SplitMix64 finalizer of
+    key + (p+1)·γ shifted right by 11 and scaled by 2⁻⁵³ (Steele, Lea
+    and Flood 2014; counter-based as in Salmon et al. 2011). A value's
+    fate thus depends on its key and position alone, not on which other
+    values are read. The output is a new CSR matrix holding the kept
+    values, scaled as the dense path scales them. A sparse H is only
+    ever the network input, whose gradient is never formed, so it gets
+    no mask (None).
 
     ``rows`` (sorted and distinct, None for all) are the rows of a CSR H
-    that are read. A value is still drawn for every stored value, so the
-    stream moves on as without ``rows``, but the output keeps only the
-    values in ``rows`` (as ``keep_rows`` does) and costs a product in
-    proportion to them. ``at`` holds the positions of H's stored values
-    in ``rows`` (``stored_in(H.indptr, rows)``) when the caller has them,
-    as a training loop does once for all its epochs; else they are found
+    that are read. Only the values in ``rows`` are hashed and kept (as
+    ``keep_rows`` does), so the call costs in proportion to them, and on
+    those rows the output equals that of the call without ``rows``.
+    ``at`` holds the positions of H's stored values in ``rows``
+    (``stored_in(H.indptr, rows)``) when the caller has them, as a
+    training loop does once for all its epochs; else they are found
     here. A dense H keeps every row: the dense products that follow run
     on all rows.
     """
@@ -127,16 +142,39 @@ def dropout_forward(H, rate: float, rng, training: bool, rows=None, at=None):
         return H, None
     scale = 1.0 / (1.0 - rate)
     if sp.issparse(H):
-        drawn = rng.random(H.nnz)
-        if rows is None:
-            kept = np.flatnonzero(drawn >= rate)
-        else:
-            if at is None:
-                at = stored_in(H.indptr, rows)
-            kept = at[np.flatnonzero(drawn[at] >= rate)]
-        return _stored(H, kept, rows, scale), None
+        key = rng.integers(2**64, dtype=np.uint64)
+        if at is None:
+            at = np.arange(H.nnz) if rows is None else stored_in(H.indptr, rows)
+        return _stored(H, _kept(key, at, rate), rows, scale), None
     mask = (rng.random(H.shape) >= rate) * scale
     return H * mask, mask
+
+
+def _kept(key: np.uint64, at: np.ndarray, rate: float) -> np.ndarray:
+    """The positions p in ``at`` whose keyed draw u(key, p) is at least
+    ``rate``, in ``at``'s order.
+
+    u = (z >> 11)·2⁻⁵³ >= rate holds iff z >= ceil(rate·2⁵³)·2¹¹, so the
+    test is done on z itself, with no rounding. Positions are hashed
+    ``_CHUNK`` at a time, so the uint64 temporaries stay in cache."""
+    bound = np.uint64(math.ceil(rate * 2.0**53) << 11)
+    keep = np.empty(at.size, dtype=bool)
+    z = np.empty(min(at.size, _CHUNK), dtype=np.uint64)
+    t = np.empty_like(z)
+    for start in range(0, at.size, _CHUNK):
+        p = at[start:start + _CHUNK]
+        zc, tc = z[:p.size], t[:p.size]
+        np.add(p, 1, out=zc, casting="unsafe")
+        zc *= _GAMMA
+        zc += key
+        for shift, factor in _MIX:
+            np.right_shift(zc, shift, out=tc)
+            zc ^= tc
+            zc *= factor
+        np.right_shift(zc, _LAST_SHIFT, out=tc)
+        zc ^= tc
+        np.greater_equal(zc, bound, out=keep[start:start + p.size])
+    return at[np.flatnonzero(keep)]
 
 
 def keep_rows(H, rows):

@@ -162,3 +162,19 @@ def test_constructors_match_set_reference():
             assert np.array_equal(A.toarray(), dense)
             assert np.array_equal(A.data, np.ones(A.nnz))
         assert (built[0].dropped_self_loops, built[0].dropped_duplicates) == (loops, dupes)
+
+
+def test_from_edge_list_builds_the_adjacency_of_its_pairs():
+    rng = np.random.default_rng(4)
+    for trial in range(60):
+        n = int(rng.integers(1, 40))
+        rows = _messy_rows(rng, n, 0, n)
+        cleaned = Graph.from_edge_list(n, rows)
+        direct = Graph(n, cleaned.edges.copy())
+        assert cleaned.n_nodes == direct.n_nodes
+        assert cleaned.edges.dtype == direct.edges.dtype
+        assert cleaned.edges.tobytes() == direct.edges.tobytes()
+        A, B = build_adjacency(cleaned), build_adjacency(direct)
+        for a, b in ((A.data, B.data), (A.indices, B.indices), (A.indptr, B.indptr)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable

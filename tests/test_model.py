@@ -430,6 +430,31 @@ def test_gradient_check_with_sparse_features():
         assert gradient_check(h1, h2, graph=g) < 1e-6
 
 
+def test_sparse_dropout_masks_are_uncorrelated_across_epochs(monkeypatch):
+    # A fully stored X on a ring whose train split reads 802 of its 1000
+    # rows: 8e5 keyed draws per epoch, or 1e6 on the full path.
+    n = 1000
+    ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+    g = Graph(n, ring, features=sp.csr_matrix(np.ones((n, n))), labels=np.arange(n) % 2,
+              n_classes=2)
+    splits = Splits(np.arange(800), np.arange(800, 900), np.arange(900, n))
+    masks = []
+    dropout = nn.dropout_forward
+
+    def recording(H, rate, rng, training, rows=None, at=None):
+        out, mask = dropout(H, rate, rng, training, rows, at)
+        if training and sp.issparse(H):
+            keep = out.toarray() != 0
+            masks.append((keep if rows is None else keep[rows]).ravel())
+        return out, mask
+
+    monkeypatch.setattr(nn, "dropout_forward", recording)
+    train(ModelConfig(h1=1, h2=0, max_epochs=3, seed=0), Dataset(g, "ring"), splits)
+    assert len(masks) == 3 and masks[0].size >= 802 * n
+    for a, b in ((masks[0], masks[1]), (masks[1], masks[2]), (masks[0], masks[2])):
+        assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
+
+
 def pattern(M) -> sp.csr_matrix:
     """M's stored pattern, explicit zeros included, as ones."""
     return sp.csr_matrix((np.ones(M.nnz), M.indices, M.indptr), M.shape)

@@ -126,15 +126,21 @@ def test_dropout_survivor_fraction(rng):
     assert np.allclose(out[out != 0], 2.0)
 
 
+def next_after_key(seed):
+    """The draw after one 64-bit key from a fresh generator: where a
+    sparse dropout call leaves the stream."""
+    ref = np.random.default_rng(seed)
+    ref.bit_generator.random_raw()
+    return ref.random()
+
+
 def test_sparse_dropout_draws_only_stored_values():
     X = sp.random(30, 50, density=0.1, format="csr", random_state=3)
     before = (X.data.copy(), X.indices.copy(), X.indptr.copy())
     rng = np.random.default_rng(11)
     out, mask = dropout_forward(X, 0.4, rng, training=True)
-    # exactly nnz draws: the stream continues where nnz draws leave it
-    ref = np.random.default_rng(11)
-    ref.random(X.nnz)
-    assert rng.random() == ref.random()
+    # one 64-bit key per call: the stream continues where one draw leaves it
+    assert rng.random() == next_after_key(11)
     # the input's gradient is never formed, so a sparse input gets no mask
     assert mask is None
     # the output's pattern is a subset of the input's
@@ -152,13 +158,19 @@ def test_sparse_dropout_draws_only_stored_values():
 
 
 def test_sparse_dropout_matches_dense_when_all_stored(rng):
-    H = rng.random((12, 9)) + 0.1
+    H = rng.random((400, 300)) + 0.1
     out_d, mask_d = dropout_forward(H, 0.3, np.random.default_rng(7), training=True)
     out_s, mask_s = dropout_forward(sp.csr_matrix(H), 0.3, np.random.default_rng(7),
                                     training=True)
     assert sp.issparse(out_s)
     assert mask_s is None
-    assert np.array_equal(out_s.toarray(), out_d)
+    # the two paths draw differently, but keep the same share, 4 sigma
+    # apart at most, and scale the kept values alike
+    bound = 4 * np.sqrt(0.3 * 0.7 / H.size)
+    for out in (out_d, out_s.toarray()):
+        kept = out != 0
+        assert abs(np.count_nonzero(kept) / H.size - 0.7) < bound
+        assert np.array_equal(out[kept], H[kept] * (1 / 0.7))
 
 
 def sparse_rows_case(seed):
@@ -181,20 +193,115 @@ def test_row_restricted_sparse_dropout_equals_full_on_those_rows(seed):
     dense_full, dense_out = full.toarray(), out.toarray()
     assert np.array_equal(dense_out[rows], dense_full[rows])
     assert not np.delete(dense_out, rows, axis=0).any()
-    # one draw per stored value of X, so the stream moves on as without rows
-    ref = np.random.default_rng(seed)
-    ref.random(X.nnz)
-    assert rng.random() == ref.random()
+    # one 64-bit key per call, as without rows
+    assert rng.random() == next_after_key(seed)
     # the positions of the rows' values, found once by the caller
     rng = np.random.default_rng(seed)
     given, _ = dropout_forward(X, 0.4, rng, training=True, rows=rows,
                                at=stored_in(X.indptr, rows))
     assert np.array_equal(given.toarray(), dense_out)
-    assert rng.random() == np.random.default_rng(seed).random(X.nnz + 1)[-1]
+    assert rng.random() == next_after_key(seed)
     # keep_rows removes the same rows' values without drawing
     assert np.array_equal(keep_rows(X, rows).toarray(), np.where(
         np.isin(np.arange(40), rows)[:, None], X.toarray(), 0.0))
     assert keep_rows(X, None) is X
+
+
+def numbered(n_rows, n_cols):
+    """A CSR matrix storing every entry, each valued its position + 1."""
+    return sp.csr_matrix(np.arange(1.0, n_rows * n_cols + 1).reshape(n_rows, n_cols))
+
+
+def kept_positions(out, rate):
+    """The positions of ``numbered``'s values that dropout kept."""
+    return np.rint(out.data * (1 - rate)).astype(np.int64) - 1
+
+
+def splitmix_kept(key, positions, rate):
+    """The keyed draw written out one position at a time: p is kept iff
+    splitmix64(key + (p+1)·γ) >> 11, times 2⁻⁵³, is at least rate."""
+    word = 2**64 - 1
+    kept = []
+    for p in positions:
+        z = (int(key) + (int(p) + 1) * 0x9E3779B97F4A7C15) & word
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & word
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & word
+        z ^= z >> 31
+        if (z >> 11) * 2.0**-53 >= rate:
+            kept.append(p)
+    return kept
+
+
+@pytest.mark.parametrize("rate", [0.25, 0.3, 0.5, 0.999])
+def test_sparse_dropout_keeps_the_keyed_draws(rate):
+    X = numbered(90, 50)
+    rows = np.arange(3, 90, 4)
+    key = np.random.default_rng(2).bit_generator.random_raw()
+    for rows_read in (None, rows):
+        out, _ = dropout_forward(X, rate, np.random.default_rng(2), training=True,
+                                 rows=rows_read)
+        at = range(X.nnz) if rows_read is None else stored_in(X.indptr, rows)
+        assert kept_positions(out, rate).tolist() == splitmix_kept(key, at, rate)
+
+
+def test_keyed_draws_span_hash_chunks():
+    # 160k positions: the hash takes them in three chunks on the full path
+    # and in two on half the rows, chunks that start at other positions.
+    X = numbered(400, 400)
+    key = np.random.default_rng(5).bit_generator.random_raw()
+    full, _ = dropout_forward(X, 0.5, np.random.default_rng(5), training=True)
+    rows = np.arange(1, 400, 2)
+    out, _ = dropout_forward(X, 0.5, np.random.default_rng(5), training=True, rows=rows)
+    assert np.array_equal(out[rows].toarray(), full[rows].toarray())
+    sample = range(0, X.nnz, 37)
+    kept = set(kept_positions(full, 0.5).tolist())
+    assert [p for p in sample if p in kept] == splitmix_kept(key, sample, 0.5)
+
+
+@pytest.mark.parametrize("rate", [0.3, 0.5])
+def test_keyed_keep_fraction(rate):
+    X = numbered(1000, 1000)
+    out, _ = dropout_forward(X, rate, np.random.default_rng(0), training=True)
+    assert abs(out.nnz / X.nnz - (1 - rate)) < 4 * np.sqrt(rate * (1 - rate) / X.nnz)
+
+
+def test_keyed_masks_are_uncorrelated():
+    X = numbered(1000, 1000)
+
+    def mask(rng):
+        out, _ = dropout_forward(X, 0.5, rng, training=True)
+        keep = np.zeros(X.nnz)
+        keep[kept_positions(out, 0.5)] = 1.0
+        return keep
+
+    stream = np.random.default_rng(0)
+    first, second = mask(stream), mask(stream)  # keys one after another
+    other_seeds = [mask(np.random.default_rng(seed)) for seed in (1, 2)]
+    pairs = [(first, second), (first, other_seeds[0]), (other_seeds[0], other_seeds[1]),
+             (first[:-1], first[1:]), (first[:-1000], first[1000:])]  # neighbours
+    for a, b in pairs:
+        assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_keyed_draw_of_a_position_ignores_the_plan(seed):
+    X = sp.random(500, 300, density=0.05, format="csr", random_state=seed)
+    full, _ = dropout_forward(X, 0.5, np.random.default_rng(seed), training=True)
+    rng = np.random.default_rng(seed + 100)
+    for size in (0, 1, 37, 250, 499, 500):
+        rows = np.sort(rng.choice(500, size, replace=False))
+        out, _ = dropout_forward(X, 0.5, np.random.default_rng(seed), training=True,
+                                 rows=rows, at=stored_in(X.indptr, rows))
+        assert np.array_equal(out[rows].toarray(), full[rows].toarray())
+        assert out.nnz == full[rows].nnz
+
+
+def test_dense_dropout_draws_are_unchanged(rng):
+    H = rng.standard_normal((50, 40))
+    out, mask = dropout_forward(H, 0.3, np.random.default_rng(4), training=True)
+    drawn = np.random.default_rng(4).random(H.shape)
+    assert np.array_equal(mask, (drawn >= 0.3) * (1 / 0.7))
+    assert np.array_equal(out, H * mask)
 
 
 @pytest.mark.parametrize("seed", range(6))
