@@ -27,7 +27,6 @@ from .motifs import (
     wedge_motif_nnz,
 )
 from .model import grid_search, run_protocol, train
-from .modelfile import save_model
 from .verify import GRADCHECK_SHAPES, gradient_check, oracle_check
 
 GRADCHECK_TOLERANCE = 1e-6
@@ -108,7 +107,9 @@ def cmd_train(cfg: RunConfig, args) -> int:
     # runs and threads are read by protocol only
     echo = {k: v for k, v in cfg.echo().items() if k not in ("runs", "threads")}
     if args.model_out:
-        save_model(model, args.model_out, config_echo=echo)
+        # No layer header: the roles follow from h1 in the echo (see Model).
+        _emit({"config": echo, "weights": [W.tolist() for W in model.weights]},
+              args.model_out)
     payload = {
         "command": "train",
         "dataset": dataset.name,
@@ -227,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("train", cmd_train, "train one model",
                 "config dataset data-root recipe seed out")
-    p.add_argument("--model-out", help="save weights to this container file")
+    p.add_argument("--model-out", help="write the config echo and weights here as JSON")
 
     command("protocol", cmd_protocol, "mean/max accuracy over repeated runs",
             " ".join(COMMON_FLAGS))

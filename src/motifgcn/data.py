@@ -49,7 +49,7 @@ EXPECTED_EDGES = {"cora": 5429, "citeseer": 4732, "pubmed": 44338}
 PLANETOID_PARTS = ["x", "y", "tx", "ty", "allx", "ally", "graph", "test.index"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: arrays do not compare to a bool
 class Dataset:
     graph: Graph
     name: str
@@ -61,7 +61,7 @@ class Dataset:
             raise DataError("dataset must contain at least 2 label classes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality, as Dataset
 class Splits:
     train: np.ndarray
     validation: np.ndarray

@@ -95,7 +95,7 @@ def _freeze_features(features):
     return freeze_csr(sp.csr_matrix(features, dtype=np.float64, copy=True))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: arrays do not compare to a bool
 class Graph:
     """Immutable undirected graph with optional node features and labels.
 
@@ -124,7 +124,7 @@ class Graph:
     n_classes: int = 0
     dropped_self_loops: int = 0
     dropped_duplicates: int = 0
-    _neighbors: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    _neighbors: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
         # ``from_edge_list`` sets the adjacency it built from these edges

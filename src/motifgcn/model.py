@@ -126,14 +126,14 @@ class ModelConfig:
             raise ValueError("dropout must be in [0, 1)")
 
 
-@dataclass
+@dataclass(eq=False)  # identity equality: arrays do not compare to a bool
 class Model:
     mixed_matrix: MixedOperator  # read-only, so runs on threads share it
     weights: list  # float64 arrays in forward order; layer k < h1 is a GCN layer
     config: ModelConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality, as Model
 class Plan:
     """The rows one forward pass computes; None means all rows, which is
     the full path.
@@ -300,10 +300,12 @@ def evaluate(model: Model, X, labels: np.ndarray, mask) -> float:
     """Fraction of masked nodes whose argmax prediction matches the label.
 
     Only the masked rows are computed, from the rows of X they reach: a
-    sparse X is sliced to those rows first (``nn.keep_rows``)."""
+    sparse X is sliced to those rows first (``nn.keep_rows``). Raises
+    ValueError when the mask is empty or names an unlabeled node."""
     idx = nn.as_index(mask)
     if idx.size == 0:
         raise ValueError("evaluate: empty mask")
+    _require_labeled("evaluate: mask", labels, idx)
     plan = row_plan(model, idx, X)
     Z = forward(model, nn.keep_rows(X, plan.inputs), training=False, plan=plan)
     return _accuracy(Z, labels, idx)
@@ -334,6 +336,12 @@ def _walk(model: Model, rows, X) -> tuple[Plan, list]:
     outputs = np.unique(rows)
     steps, inputs = S.walk(outputs, model.config.h1, inputs=X is None or sp.issparse(X))
     return Plan([S.rows(*step) for step in steps], inputs, outputs), steps
+
+
+def _require_labeled(what: str, labels, idx: np.ndarray) -> None:
+    unlabeled = idx[np.asarray(labels)[idx] == UNLABELED]
+    if unlabeled.size:
+        raise ValueError(f"{what} names unlabeled node {unlabeled[0]}")
 
 
 def _accuracy(Z: np.ndarray, labels, idx: np.ndarray) -> float:
@@ -373,9 +381,7 @@ def train(config: ModelConfig, dataset, splits,
             raise ValueError(f"{name} split is empty")
         if idx.min() < 0 or idx.max() >= graph.n_nodes:
             raise ValueError(f"{name} split index out of range [0, {graph.n_nodes})")
-        unlabeled = idx[graph.labels[idx] == UNLABELED]
-        if unlabeled.size:
-            raise ValueError(f"{name} split names unlabeled node {unlabeled[0]}")
+        _require_labeled(f"{name} split", graph.labels, idx)
     model = build_model(config, graph, mixed=mixed)
     X = graph.features
     # Each pass computes only the rows it reads: training reads the train

@@ -1,8 +1,9 @@
 """The functions the benchmark wraps still exist under the names it uses,
-so that a refactor which drops one fails here and not only in a traced
-benchmark run."""
+and the benchmark's sequence still calls each of them, so that a refactor
+which drops one fails here and not only in a traced benchmark run."""
 
 import contextvars
+import dataclasses
 import importlib.util
 import sys
 import threading
@@ -32,6 +33,31 @@ def test_benchmark_wraps_no_missing_name():
     with spans.Tracer() as tracer:
         run.wrap_layers(tracer, motifgcn)
     assert tracer.missing == []
+
+
+def test_traced_benchmark_sequence_calls_every_wrapped_function(tmp_path, monkeypatch):
+    # A traced run reports no per-module metric for a wrapped function
+    # that is never called, so its output would lack that metric. The
+    # sequence is citeseer_train's: a CSR-feature Planetoid-layout set-up,
+    # motif-stats and one train, on a smaller graph with the published
+    # edge count, so loading warns of nothing.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run, spans = _load("run"), _load("spans")
+    import generate
+    import workloads
+
+    workload = workloads.CiteseerTrain(PERFBENCH.parent)
+    workload.shape = dataclasses.replace(generate.CITESEER, nodes=1700, features=100,
+                                         density=0.05)
+    workload.prepare(1, tmp_path)
+    with spans.Tracer() as tracer:
+        run.wrap_layers(tracer, motifgcn)
+        state, warned = workloads.setup_with_warnings(workload, tracer)
+        workloads.motif_stats(state.dataset.graph)
+        workload.op(state, 1)
+    assert warned is None
+    assert tracer.missing == []
+    assert [name for name, n in tracer.calls.items() if n == 0] == []
 
 
 def test_traced_train_counts_every_product(monkeypatch):

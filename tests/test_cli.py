@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from motifgcn import verify
-from motifgcn.cli import main
+from motifgcn.cli import _load_split_dataset, main
 from motifgcn.config import RunConfig
 from motifgcn.data import SplitSpec
-from motifgcn.model import ModelConfig
-from motifgcn.modelfile import load_model
+from motifgcn.model import ModelConfig, train
 from motifgcn.motifs import clustering_coefficient, triangle_count
 
 REPO = Path(__file__).resolve().parent.parent
@@ -113,34 +112,36 @@ def test_train_schema_and_determinism(tmp_path, capsys):
 
 
 def test_train_saves_model_container(tmp_path):
-    model_path = tmp_path / "model.bin"
-    out = tmp_path / "report.json"
-    assert main(["train", "--config", FIXTURE_CONF,
-                 "--model-out", str(model_path), "--out", str(out)]) == 0
-    header, weights = load_model(model_path)
-    assert [s["shape"] for s in header["layers"]] == [[5, 16], [16, 16], [16, 2]]
-    assert [s["role"] for s in header["layers"]] == ["gcn", "gcn", "mlp"]
-    assert [s["activation"] for s in header["layers"]] == ["relu", "relu", "softmax"]
-    assert header["config"]["recipe"] == "edge:8,triangle:1,wedge:2"
-    assert all(w.dtype == "float64" for w in weights)
+    # The model file is JSON: the report's config echo and the weights,
+    # byte-stable across reruns and bit-equal to an in-process train.
+    a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "report.json"
+    for path in (a, b):
+        assert main(["train", "--config", FIXTURE_CONF, "--seed", "7",
+                     "--model-out", str(path), "--out", str(out)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    saved = json.loads(a.read_text())
+    assert saved["config"] == json.loads(out.read_text())["config"]
+    cfg = RunConfig.from_file(FIXTURE_CONF)
+    cfg.apply_overrides({"seed": "7"})
+    model, _ = train(cfg.model_config(), *_load_split_dataset(cfg))
+    weights = [np.array(w, dtype=np.float64) for w in saved["weights"]]
+    assert [list(w.shape) for w in weights] == [[5, 16], [16, 16], [16, 2]]
+    assert [w.tobytes() for w in weights] == [W.tobytes() for W in model.weights]
 
     conf = fixture_conf_with(tmp_path, "h1 = 1", "h2 = 0")
     assert main(["train", "--config", conf,
-                 "--model-out", str(model_path), "--out", str(out)]) == 0
-    header, _ = load_model(model_path)
-    assert [(s["role"], s["activation"], s["shape"]) for s in header["layers"]] == [
-        ("gcn", "softmax", [5, 2])]
+                 "--model-out", str(a), "--out", str(out)]) == 0
+    assert [np.shape(w) for w in json.loads(a.read_text())["weights"]] == [(5, 2)]
 
 
 def test_train_echoes_no_protocol_keys(tmp_path, capsys):
     # runs and threads stay settable in the config file, but only protocol
     # reads them, so train echoes neither.
     conf = fixture_conf_with(tmp_path, "runs = 7", "threads = 2")
-    model_path = tmp_path / "model.bin"
+    model_path = tmp_path / "model.json"
     code, payload = run(capsys, "train", "--config", conf, "--model-out", str(model_path))
     assert code == 0
-    header, _ = load_model(model_path)
-    assert header["config"] == payload["config"]
+    assert json.loads(model_path.read_text())["config"] == payload["config"]
     assert not {"runs", "threads"} & payload["config"].keys()
     code, payload = run(capsys, "protocol", "--config", conf, "--runs", "1")
     assert code == 0

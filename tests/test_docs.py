@@ -1,12 +1,10 @@
 """The docs state what the code does: the README's flag table against the
-CLI parser, and the container spec's magic and version against
-``modelfile``."""
+CLI parser, and its package layout against the modules in the source."""
 
 import argparse
 import re
 from pathlib import Path
 
-from motifgcn import modelfile
 from motifgcn.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,7 +38,9 @@ def test_readme_flag_table_matches_parser():
     assert readme_flag_table() == parser_flags()
 
 
-def test_container_doc_matches_modelfile():
-    text = (ROOT / "docs" / "model_container.md").read_text(encoding="utf-8")
-    assert re.search(r"magic `(\w+)`", text).group(1).encode() == modelfile.MAGIC
-    assert int(re.search(r"version, currently `(\d+)`", text).group(1)) == modelfile.VERSION
+def test_readme_package_layout_names_every_module():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = text.split("## Package layout", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `motifgcn\.(\w+)`", layout, flags=re.MULTILINE)
+    modules = {p.stem for p in (ROOT / "src" / "motifgcn").glob("*.py")} - {"__init__"}
+    assert sorted(listed) == sorted(modules)

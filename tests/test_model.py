@@ -15,6 +15,7 @@ from motifgcn import model as model_module, motifs, nn
 from motifgcn.motifs import MixRecipe, normalize_symmetric
 from motifgcn.model import (
     ModelConfig,
+    Plan,
     TrainingDiverged,
     backward,
     build_model,
@@ -69,6 +70,21 @@ def test_build_model_seed_determinism(rng):
     b = build_model(cfg, g)
     for Wa, Wb in zip(a.weights, b.weights):
         assert np.array_equal(Wa, Wb)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Graph(3, [(0, 1), (1, 2)]),
+    lambda: Splits(np.array([0, 1]), np.array([2, 3]), np.array([4, 5])),
+    lambda: two_community_dataset(20, seed=0),
+    lambda: Plan(inputs=np.arange(3), outputs=np.arange(3)),
+    lambda: build_model(ModelConfig(h1=1, h2=0, recipe=EDGE_ONLY),
+                        two_community_dataset(20, seed=0).graph),
+], ids=["Graph", "Splits", "Dataset", "Plan", "Model"])
+def test_array_holders_compare_by_identity(make):
+    # A field-wise == would compare arrays, whose truth value numpy refuses.
+    a, b = make(), make()
+    assert (a == b) is False and (a == a) is True
+    assert len({a, b, a}) == 2
 
 
 def test_config_validation():
@@ -334,6 +350,18 @@ def test_evaluate_empty_mask(rng):
     m = build_model(ModelConfig(h1=1, h2=0, recipe=EDGE_ONLY), g)
     with pytest.raises(ValueError):
         evaluate(m, g.features, g.labels, np.array([], dtype=np.int64))
+
+
+def test_evaluate_rejects_unlabeled_node():
+    # Counting an unlabeled node as a wrong prediction would lower the
+    # accuracy without a word.
+    dataset = two_community_dataset(n=20)
+    g = dataset.graph
+    labels = g.labels.copy()
+    labels[13] = UNLABELED
+    m = build_model(ModelConfig(h1=1, h2=0, recipe=EDGE_ONLY), g)
+    with pytest.raises(ValueError, match="evaluate: mask names unlabeled node 13"):
+        evaluate(m, g.features, labels, np.arange(10, 20))
 
 
 def test_random_model_accuracy_near_chance(rng):
