@@ -37,22 +37,14 @@ product sums each row alone, in stored order, so it rounds the same on
 any rows. ``forward`` and ``backward`` run the full path when given no
 plan or operators.
 
-Each epoch's validation pass runs beside the next training step. The
-pass after Adam step t and the forward and backward of step t+1 both
-read the weights W_t and nothing of each other, so ``train`` hands the
-pass to a one-worker helper thread and joins it before Adam step t+1,
-where epoch t's early-stopping bookkeeping happens. A run that epoch t
-stops throws step t+1 away, so every result is that of the sequential
-loop. ``train`` keeps the sequential loop when several runs of
-``_train_seeds`` already share the cores, and when the validation pass
-applies S itself at its bottom layer.
+Each epoch runs on the calling thread: the training step, its Adam
+update, then the validation pass on the updated weights and the
+early-stopping bookkeeping.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
-from contextvars import ContextVar
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -77,13 +69,6 @@ __all__ = [
     "run_protocol",
     "grid_search",
 ]
-
-# True while ``train`` runs as one of several runs that share the cores
-# (``_train_seeds`` with threads >= 2 over two runs or more). They fill
-# the cores already: with the validation overlap on as well, 4
-# Pubmed-shaped runs on 2 threads went from 5 % faster to 9 % slower.
-_SHARED_CORES = ContextVar("shared_cores", default=False)
-
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, epoch: int):
@@ -301,11 +286,9 @@ def evaluate(model: Model, X, labels: np.ndarray, mask) -> float:
 
     Only the masked rows are computed, from the rows of X they reach: a
     sparse X is sliced to those rows first (``nn.keep_rows``). Raises
-    ValueError when the mask is empty or names an unlabeled node."""
-    idx = nn.as_index(mask)
-    if idx.size == 0:
-        raise ValueError("evaluate: empty mask")
-    _require_labeled("evaluate: mask", labels, idx)
+    ValueError for a mask that ``train`` would refuse as a split, and for
+    a boolean mask that is not N long."""
+    idx = _checked_index("evaluate: mask", mask, labels, model.mixed_matrix.shape[0])
     plan = row_plan(model, idx, X)
     Z = forward(model, nn.keep_rows(X, plan.inputs), training=False, plan=plan)
     return _accuracy(Z, labels, idx)
@@ -338,10 +321,22 @@ def _walk(model: Model, rows, X) -> tuple[Plan, list]:
     return Plan([S.rows(*step) for step in steps], inputs, outputs), steps
 
 
-def _require_labeled(what: str, labels, idx: np.ndarray) -> None:
+def _checked_index(what: str, mask, labels, n: int) -> np.ndarray:
+    """``mask``, a boolean mask or an index array, as an index array.
+    Raises ValueError when it is a boolean mask that is not n long, names
+    no node, holds an index outside [0, n), or names an unlabeled node."""
+    mask = np.asarray(mask)
+    if mask.dtype == bool and mask.shape != (n,):
+        raise ValueError(f"{what} is a boolean mask of shape {mask.shape}, not ({n},)")
+    idx = nn.as_index(mask)
+    if idx.size == 0:
+        raise ValueError(f"{what} is empty")
+    if idx.min() < 0 or idx.max() >= n:
+        raise ValueError(f"{what} index out of range [0, {n})")
     unlabeled = idx[np.asarray(labels)[idx] == UNLABELED]
     if unlabeled.size:
         raise ValueError(f"{what} names unlabeled node {unlabeled[0]}")
+    return idx
 
 
 def _accuracy(Z: np.ndarray, labels, idx: np.ndarray) -> float:
@@ -356,32 +351,17 @@ def train(config: ModelConfig, dataset, splits,
     from the same seed as the weight init. ``mixed`` is the
     ``mix_matrices(config.recipe, dataset.graph)`` operator when the
     caller already holds it, else it is built here. Raises ValueError
-    before the first epoch when a split is empty, an index lies outside
-    [0, N), or an index names an unlabeled node.
+    before the first epoch when a split is empty, is a boolean mask that
+    is not N long, holds an index outside [0, N), or names an unlabeled
+    node.
 
-    Epoch t's validation pass and epoch t+1's training forward and
-    backward both read the weights W_t alone, so the pass runs on a
-    one-worker helper thread while the step runs here. Its result is
-    joined before Adam step t+1, and epoch t's bookkeeping (best epoch,
-    patience) follows. When epoch t stops the run, step t+1 is thrown
-    away, its dropout draws with it; its non-finite loss or error
-    surfaces only when epoch t does not stop the run. So the results are
-    those of running the two one after the other, which ``train`` does
-    instead when several runs of ``_train_seeds`` share the cores, or
-    when the validation pass applies S itself at its bottom layer: on the
-    50k-node benchmark graph the overlap then measured up to 13 % slower
-    per epoch (ROADMAP dead ends).
+    Each epoch validates after its Adam step, on the calling thread, and
+    then updates the best epoch and the patience count.
     """
     graph = dataset.graph
-    train_idx = nn.as_index(splits.train)
-    val_idx = nn.as_index(splits.validation)
-    test_idx = nn.as_index(splits.test)
-    for name, idx in (("train", train_idx), ("validation", val_idx), ("test", test_idx)):
-        if idx.size == 0:
-            raise ValueError(f"{name} split is empty")
-        if idx.min() < 0 or idx.max() >= graph.n_nodes:
-            raise ValueError(f"{name} split index out of range [0, {graph.n_nodes})")
-        _require_labeled(f"{name} split", graph.labels, idx)
+    train_idx, val_idx, test_idx = (
+        _checked_index(f"{name} split", getattr(splits, name), graph.labels, graph.n_nodes)
+        for name in ("train", "validation", "test"))
     model = build_model(config, graph, mixed=mixed)
     X = graph.features
     # Each pass computes only the rows it reads: training reads the train
@@ -396,55 +376,35 @@ def train(config: ModelConfig, dataset, splits,
     m = [np.zeros_like(w) for w in W]  # Adam moment estimates
     v = [np.zeros_like(w) for w in W]
 
-    tape = None
-
-    def step(epoch):
-        """Training loss and gradients at the current weights."""
-        # The previous step's tape is released only when this forward pass
-        # returns, so the pass reuses its pages. Released before the
-        # validation pass, they went back to the system, and a powerlaw
-        # train took 1.5 s instead of 1.2 s, with up to 4x the page faults.
-        nonlocal tape
-        Z, tape = forward(model, X, training=True, rng=rng, with_tape=True, plan=fit)
-        loss = regularized_loss(model, Z, y, train_idx)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(epoch)
-        return loss, backward(model, tape, y, train_idx, operators=grad_ops)
-
-    def validation():
-        Z = forward(model, X_val, training=False, plan=val)
-        return nn.cross_entropy_loss(Z, y, val_idx), _accuracy(Z, y, val_idx)
-
     train_losses, val_losses, val_accs = [], [], []
     best_val = np.inf
     best_epoch = 0
     best_weights = None
-    overlap = not _SHARED_CORES.get() and val.operators[0] is not model.mixed_matrix
-    helper = ThreadPoolExecutor(1, thread_name_prefix="validation") if overlap else None
-    with helper or nullcontext():
-        ahead = None  # step t+1, run beside epoch t's validation pass
-        for epoch in range(1, config.max_epochs + 1):
-            loss, grads = step(epoch) if ahead is None else ahead.result()
-            for k, g in enumerate(grads):
-                W[k], m[k], v[k] = nn.adam_step(W[k], m[k], v[k], g, config.learning_rate,
-                                                epoch)
-            ahead = None
-            if helper is not None and epoch < config.max_epochs:
-                pending = helper.submit(validation)
-                ahead = _settled(step, epoch + 1)
-                val_loss, val_acc = pending.result()
-            else:
-                val_loss, val_acc = validation()
-            train_losses.append(loss)
-            val_losses.append(val_loss)
-            val_accs.append(val_acc)
+    for epoch in range(1, config.max_epochs + 1):
+        # The previous epoch's tape is released only when this forward pass
+        # returns, so the pass reuses its pages. Released before the
+        # validation pass, they went back to the system, and a powerlaw
+        # train took 1.5 s instead of 1.2 s, with up to 4x the page faults.
+        Z, tape = forward(model, X, training=True, rng=rng, with_tape=True, plan=fit)
+        loss = regularized_loss(model, Z, y, train_idx)
+        if not np.isfinite(loss):
+            raise TrainingDiverged(epoch)
+        grads = backward(model, tape, y, train_idx, operators=grad_ops)
+        for k, g in enumerate(grads):
+            W[k], m[k], v[k] = nn.adam_step(W[k], m[k], v[k], g, config.learning_rate, epoch)
 
-            if val_loss < best_val:
-                best_val = val_loss
-                best_epoch = epoch
-                best_weights = [w.copy() for w in W]
-            elif epoch - best_epoch >= config.patience:
-                break
+        Z_val = forward(model, X_val, training=False, plan=val)
+        val_loss = nn.cross_entropy_loss(Z_val, y, val_idx)
+        train_losses.append(loss)
+        val_losses.append(val_loss)
+        val_accs.append(_accuracy(Z_val, y, val_idx))
+
+        if val_loss < best_val:
+            best_val = val_loss
+            best_epoch = epoch
+            best_weights = [w.copy() for w in W]
+        elif epoch - best_epoch >= config.patience:
+            break
 
     model.weights = best_weights
     test_acc = evaluate(model, X, y, test_idx)
@@ -459,16 +419,6 @@ def train(config: ModelConfig, dataset, splits,
     return model, report
 
 
-def _settled(fn, *args) -> Future:
-    """fn(*args), run now, as a done Future holding its result or error."""
-    done = Future()
-    try:
-        done.set_result(fn(*args))
-    except Exception as exc:  # raised when the result is read, if it is
-        done.set_exception(exc)
-    return done
-
-
 def _train_seeds(config: ModelConfig, dataset, splits, n_runs: int,
                  threads: int = 1) -> list:
     """TrainReports of seeds seed+0 ... seed+n_runs-1 in seed order, so
@@ -477,14 +427,9 @@ def _train_seeds(config: ModelConfig, dataset, splits, n_runs: int,
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     mixed = mix_matrices(config.recipe, dataset.graph)
-    shared = min(threads, n_runs) > 1
 
     def one(i):
-        token = _SHARED_CORES.set(shared)  # in this worker thread's context
-        try:
-            return train(replace(config, seed=config.seed + i), dataset, splits, mixed=mixed)[1]
-        finally:
-            _SHARED_CORES.reset(token)
+        return train(replace(config, seed=config.seed + i), dataset, splits, mixed=mixed)[1]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(one, range(n_runs)))

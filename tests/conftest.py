@@ -1,7 +1,18 @@
+import threading
+
 import numpy as np
 import pytest
 
 from motifgcn.graph import Graph
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that ends with a live thread it did not start with."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"
 
 
 @pytest.fixture

@@ -1,4 +1,3 @@
-import contextvars
 import dataclasses
 import pickle
 import threading
@@ -364,6 +363,22 @@ def test_evaluate_rejects_unlabeled_node():
         evaluate(m, g.features, labels, np.arange(10, 20))
 
 
+@pytest.mark.parametrize("mask, message", [
+    ([-1], r"evaluate: mask index out of range \[0, 20\)"),
+    ([20], r"evaluate: mask index out of range \[0, 20\)"),
+    (np.zeros(20, dtype=bool), "evaluate: mask is empty"),
+    (np.ones(19, dtype=bool), r"evaluate: mask is a boolean mask of shape \(19,\), not \(20,\)"),
+    (np.ones(21, dtype=bool), r"evaluate: mask is a boolean mask of shape \(21,\), not \(20,\)"),
+], ids=["negative", "past the end", "no node", "short bool", "long bool"])
+def test_evaluate_rejects_bad_mask(mask, message):
+    # evaluate checks a mask as train checks a split, and a boolean mask's
+    # length, before any pass runs.
+    g = two_community_dataset(n=20).graph
+    m = build_model(ModelConfig(h1=1, h2=0, recipe=EDGE_ONLY), g)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evaluate(m, g.features, g.labels, mask)
+
+
 def test_random_model_accuracy_near_chance(rng):
     # untrained softmax outputs over L classes hover around 1/L accuracy
     accs = []
@@ -680,15 +695,7 @@ def test_gradient_check_through_restricted_operators(monkeypatch):
             assert gradient_check(h1, h2, graph=g) < 1e-6
 
 
-# ------------------------------------------- validation beside the next step
-
-def sequential_train(config, dataset, splits):
-    """``train`` with each validation pass after its training step, as it
-    runs when several runs share the cores."""
-    context = contextvars.copy_context()
-    context.run(model_module._SHARED_CORES.set, True)
-    return context.run(train, config, dataset, splits)
-
+# ------------------------------------------ validation on the calling thread
 
 @pytest.fixture
 def passes(monkeypatch):
@@ -704,18 +711,18 @@ def passes(monkeypatch):
     return calls
 
 
-def overlap_dataset(sparse: bool):
+def loop_dataset(sparse: bool):
     g = random_graph(np.random.default_rng(4), 150, 0.012, feature_dim=10, n_classes=3)
     X = g.features
     if sparse:
         X = sp.csr_matrix(X * (np.random.default_rng(5).random(X.shape) < 0.3))
     dataset = Dataset(Graph(g.n_nodes, g.edges, features=X, labels=g.labels, n_classes=3),
-                      "overlap")
+                      "loop")
     spec = SplitSpec(per_class_train=5, val_fraction=0.3, test_fraction=0.3)
     return dataset, make_splits(dataset, spec, seed=1)
 
 
-OVERLAP_CASES = {
+LOOP_CASES = {
     "runs out": {"max_epochs": 25},
     "early stop": {"max_epochs": 200, "patience": 1, "learning_rate": 0.2},
     "one epoch": {"max_epochs": 1},
@@ -723,62 +730,33 @@ OVERLAP_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", OVERLAP_CASES)
+@pytest.mark.parametrize("case", LOOP_CASES)
 @pytest.mark.parametrize("h1, h2", [(1, 0), (2, 1)])
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 def test_overlapped_validation_equals_sequential(monkeypatch, passes, case, h1, h2, sparse):
+    # Every epoch runs its training pass and then its validation pass,
+    # both on the calling thread, and the final test pass follows.
     monkeypatch.setattr(motifs, "FULL_FRACTION", np.inf)  # S only where R is every row
-    dataset, splits = overlap_dataset(sparse)
+    dataset, splits = loop_dataset(sparse)
     config = ModelConfig(h1=h1, h2=h2, hidden_dim=8, recipe=MIXED, seed=7,
-                         **OVERLAP_CASES[case])
-    before = threading.active_count()
-    outcomes = []
-    for run in (train, sequential_train):
-        passes.clear()
-        try:
-            m, report = run(config, dataset, splits)
-            outcomes.append((report, m.weights))
-            validated, tested = report.epochs_run, [False]
-        except TrainingDiverged as exc:
-            outcomes.append(exc.epoch)
-            validated, tested = exc.epoch - 1, []
-        # Overlapped, every validation pass but that of the last epoch
-        # runs on the helper thread; the test pass runs here.
-        assert [t is not threading.main_thread() for t, training in passes
-                if not training] == [
-            run is train and epoch < config.max_epochs
-            for epoch in range(1, validated + 1)] + tested
-        assert threading.active_count() == before
-    (overlapped, sequential) = outcomes
+                         **LOOP_CASES[case])
     if case == "diverges":
-        assert overlapped == sequential == 2
-        return
-    assert overlapped[0] == sequential[0]
-    assert all(np.array_equal(a, b) for a, b in zip(overlapped[1], sequential[1], strict=True))
-    if case == "early stop":
-        assert overlapped[0].epochs_run < config.max_epochs
-
-
-@pytest.mark.parametrize("fraction, threads, overlaps", [
-    (np.inf, 1, True), (np.inf, 2, False), (-1.0, 1, False)],
-    ids=["alone", "runs share the cores", "validation applies S"])
-def test_validation_overlaps_only_alone_and_restricted(monkeypatch, passes, fraction,
-                                                       threads, overlaps):
-    # Several runs on threads >= 2 already fill the cores, and a negative
-    # FULL_FRACTION makes the validation pass apply S itself at its bottom
-    # layer; in both cases each run validates on its own thread.
-    monkeypatch.setattr(motifs, "FULL_FRACTION", fraction)
-    dataset, splits = overlap_dataset(sparse=True)
-    config = ModelConfig(h1=2, h2=1, hidden_dim=8, recipe=MIXED, seed=7, max_epochs=4)
-    run_protocol(config, dataset, splits, n_runs=2, threads=threads)
-    training = {t for t, is_training in passes if is_training}
-    elsewhere = [t not in training for t, is_training in passes if not is_training]
-    assert any(elsewhere) == overlaps
+        with pytest.raises(TrainingDiverged) as diverged:
+            train(config, dataset, splits)
+        assert diverged.value.epoch == 2
+        expected = [True, False, True]  # epoch 1, then epoch 2's training pass
+    else:
+        _, report = train(config, dataset, splits)
+        if case == "early stop":
+            assert report.epochs_run < config.max_epochs
+        expected = [True, False] * report.epochs_run + [False]  # and the test pass
+    assert {t for t, _ in passes} == {threading.current_thread()}
+    assert [training for _, training in passes] == expected
 
 
 def test_validation_error_comes_out_of_train(monkeypatch):
     monkeypatch.setattr(motifs, "FULL_FRACTION", np.inf)
-    dataset, splits = overlap_dataset(sparse=False)
+    dataset, splits = loop_dataset(sparse=False)
     raised_on = []
 
     def broken(*args):
@@ -786,34 +764,24 @@ def test_validation_error_comes_out_of_train(monkeypatch):
         raise ArithmeticError("validation failed")
 
     monkeypatch.setattr(model_module, "_accuracy", broken)
-    before = threading.active_count()
     with pytest.raises(ArithmeticError, match="validation failed"):
         train(ModelConfig(h1=2, h2=1, recipe=MIXED, max_epochs=5), dataset, splits)
-    assert raised_on and raised_on[0] is not threading.main_thread()
-    assert threading.active_count() == before
+    assert raised_on == [threading.current_thread()]
 
 
 def test_step_after_the_last_epoch_is_thrown_away(monkeypatch):
-    # The step of epoch t+1 runs before epoch t's stop decision. Here it
-    # fails, which must not matter when epoch t stops the run.
+    # No training step runs after the epoch that stops the run: the loss
+    # is computed once per epoch run.
     monkeypatch.setattr(motifs, "FULL_FRACTION", np.inf)
-    dataset, splits = overlap_dataset(sparse=True)
+    dataset, splits = loop_dataset(sparse=True)
     config = ModelConfig(h1=2, h2=1, recipe=MIXED, seed=7, patience=1, learning_rate=0.2)
-    m, report = sequential_train(config, dataset, splits)
-    assert report.epochs_run < config.max_epochs
-    losses = iter(range(1, report.epochs_run + 2))
+    losses = []
     original = model_module.regularized_loss
-
-    def fails_after_the_stop(*args):
-        if next(losses) > report.epochs_run:
-            raise FloatingPointError("the step after the stop")
-        return original(*args)
-
-    monkeypatch.setattr(model_module, "regularized_loss", fails_after_the_stop)
-    m_overlapped, overlapped = train(config, dataset, splits)
-    assert next(losses, None) is None  # the step after the stop ran
-    assert overlapped == report
-    assert all(np.array_equal(a, b) for a, b in zip(m_overlapped.weights, m.weights))
+    monkeypatch.setattr(model_module, "regularized_loss",
+                        lambda *args: losses.append(1) or original(*args))
+    _, report = train(config, dataset, splits)
+    assert report.epochs_run < config.max_epochs
+    assert len(losses) == report.epochs_run
 
 
 @pytest.mark.parametrize("h1", [1, 2])
@@ -822,7 +790,7 @@ def test_plans_find_input_rows_only_for_sparse_features(monkeypatch, h1):
     # a CSR X is read on those rows, and training dropout keeps their
     # values at positions found once per plan.
     monkeypatch.setattr(motifs, "FULL_FRACTION", np.inf)
-    dataset, splits = overlap_dataset(sparse=True)
+    dataset, splits = loop_dataset(sparse=True)
     X = dataset.graph.features
     m = build_model(ModelConfig(h1=h1, h2=0, recipe=MIXED), dataset.graph)
     hops = []
@@ -843,7 +811,7 @@ def test_plans_find_input_rows_only_for_sparse_features(monkeypatch, h1):
 
 
 def test_training_finds_dropout_positions_once(monkeypatch):
-    dataset, splits = overlap_dataset(sparse=True)
+    dataset, splits = loop_dataset(sparse=True)
     found = []
     original = nn.stored_in
     monkeypatch.setattr(nn, "stored_in", lambda *args: found.append(1) or original(*args))
