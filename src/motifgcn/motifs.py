@@ -371,9 +371,13 @@ class MixedOperator:
             out += far
         return out
 
-    def to_scipy(self) -> sp.csr_matrix:
-        """S materialized as frozen canonical CSR, A_out·A_in entries included."""
-        return freeze_csr(self.P + self.c * (sp.diags(self.s) @ (self.A_out @ self.A_in)))
+    def to_scipy(self, rows: np.ndarray | None = None) -> sp.csr_matrix:
+        """S materialized as frozen canonical CSR, A_out·A_in entries
+        included; only its ``rows`` (sorted and distinct), as a
+        |rows|×N block, when they are given."""
+        P, A_out, s = ((self.P, self.A_out, self.s) if rows is None
+                       else (self.P[rows], self.A_out[rows], self.s[rows]))
+        return freeze_csr(P + self.c * (sp.diags(s) @ (A_out @ self.A_in)))
 
     def walk(self, rows: np.ndarray, depth: int,
              inputs: bool = True) -> tuple[list, np.ndarray | None]:
@@ -395,14 +399,14 @@ class MixedOperator:
         steps = []
         for _ in range(depth):
             if steps:
-                rows = self._reads(*steps[-1])
+                rows = self.reads(*steps[-1])
             steps.append((rows, _columns_of(self.A_out[rows]) if self.c else rows[:0]))
         read = inputs and not self._near_full(*steps[-1])
-        return steps[::-1], self._reads(*steps[-1]) if read else None
+        return steps[::-1], self.reads(*steps[-1]) if read else None
 
-    def _reads(self, rows: np.ndarray, near: np.ndarray) -> np.ndarray:
+    def reads(self, rows: np.ndarray, near: np.ndarray) -> np.ndarray:
         """The rows of Y that S @ Y reads to compute ``rows``, given their
-        N1 ``near``."""
+        N1 ``near`` from ``walk``."""
         hit = np.zeros(self.shape[0], dtype=bool)
         hit[self.P[rows].indices] = True
         hit[self.A_in[near].indices] = True

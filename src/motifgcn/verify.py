@@ -7,8 +7,8 @@ import numpy as np
 
 from .graph import Graph, build_adjacency
 from .motifs import MixRecipe, motif_matrix_oracle, triangle_motif_matrix, wedge_motif_matrix
-from . import nn
-from .model import ModelConfig, backward, build_model, fit_plan, forward, regularized_loss
+from .model import (ModelConfig, Plan, backward, build_model, fit_plan, forward,
+                    regularized_loss)
 
 __all__ = [
     "random_graph",
@@ -27,6 +27,10 @@ GRADCHECK_STEP = 1e-6  # central-difference step
 # pre-activations sit comfortably away from zero (finite differences
 # across a ReLU kink would be meaningless).
 GRADCHECK_FIXTURE_SEED = 5
+# Dropout stays on, so the gradient through each dropout mask is checked
+# too. Every pass draws its masks from a fresh generator of one seed.
+GRADCHECK_DROPOUT = 0.3
+GRADCHECK_MASK_SEED = 11
 
 
 def random_graph(rng, n: int, p: float, feature_dim: int = 0,
@@ -52,23 +56,27 @@ def gradient_check(h1: int, h2: int, graph: Graph | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     The analytic gradients come from the passes ``train`` runs, which
-    compute only the rows the loss reads, from a sparse X sliced to the
-    rows they reach; the finite differences come from the full forward
-    pass. Dropout must be off: the loss would not be a deterministic
-    function of the weights otherwise.
+    compute only the rows the loss reads; the finite differences come
+    from the full forward pass. Both train with dropout
+    (``GRADCHECK_DROPOUT``), and every pass draws from a fresh generator
+    seeded with ``GRADCHECK_MASK_SEED``: it drops the same values in
+    each, so the loss is a deterministic function of the weights.
     """
     if graph is None:
         graph = gradcheck_fixture()
     config = ModelConfig(h1=h1, h2=h2, hidden_dim=5, recipe=GRADCHECK_RECIPE,
-                         dropout=0.0, seed=3)
+                         dropout=GRADCHECK_DROPOUT, seed=3)
     model = build_model(config, graph)
     X, y = graph.features, graph.labels
     train_idx = np.arange(0, graph.n_nodes, 2)
 
-    fit, grad_ops = fit_plan(model, train_idx)
-    _, tape = forward(model, nn.keep_rows(X, fit.inputs), training=False, with_tape=True,
-                      plan=fit)
-    grads = backward(model, tape, y, train_idx, grad_ops)
+    def loss(plan=Plan()):
+        rng = np.random.default_rng(GRADCHECK_MASK_SEED)
+        Z, tape = forward(model, X, training=True, rng=rng, with_tape=True, plan=plan)
+        return regularized_loss(model, Z, y, train_idx), tape
+
+    fit, grad_ops = fit_plan(model, train_idx, X)
+    grads = backward(model, loss(fit)[1], y, train_idx, grad_ops)
 
     worst = 0.0
     for W, g in zip(model.weights, grads):
@@ -77,9 +85,9 @@ def gradient_check(h1: int, h2: int, graph: Graph | None = None) -> float:
             ij = it.multi_index
             orig = W[ij]
             W[ij] = orig + GRADCHECK_STEP
-            up = regularized_loss(model, forward(model, X), y, train_idx)
+            up = loss()[0]
             W[ij] = orig - GRADCHECK_STEP
-            down = regularized_loss(model, forward(model, X), y, train_idx)
+            down = loss()[0]
             W[ij] = orig
             fd = (up - down) / (2 * GRADCHECK_STEP)
             err = abs(g[ij] - fd) / max(1.0, abs(g[ij]), abs(fd))

@@ -323,8 +323,9 @@ def test_gradcheck_negative_control(capsys, monkeypatch):
 
 
 def test_gradcheck_refuses_dropout(capsys):
-    # gradcheck has no dropout flag: a stochastic loss would make finite
-    # differences meaningless, so argparse rejects it.
+    # gradcheck has no dropout flag: the check fixes its own rate and
+    # masks, as finite differences need a deterministic loss, so argparse
+    # rejects it.
     with pytest.raises(SystemExit) as exc:
         main(["gradcheck", "--dropout", "0.5"])
     err = capsys.readouterr().err

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from motifgcn.cli import main
 from motifgcn.data import Dataset, SplitSpec, Splits, load_planetoid, make_splits
 from motifgcn.graph import UNLABELED, Graph, build_adjacency
-from motifgcn import model as model_module, motifs, nn
+from motifgcn import model as model_module, motifs, nn, verify
 from motifgcn.motifs import MixRecipe, normalize_symmetric
 from motifgcn.model import (
     ModelConfig,
@@ -18,6 +18,7 @@ from motifgcn.model import (
     TrainingDiverged,
     backward,
     build_model,
+    eval_plan,
     evaluate,
     fit_plan,
     forward,
@@ -27,7 +28,7 @@ from motifgcn.model import (
     train,
 )
 from motifgcn.synthetic import two_community_dataset
-from motifgcn.verify import gradient_check, random_graph
+from motifgcn.verify import GRADCHECK_SHAPES, gradcheck_fixture, gradient_check, random_graph
 
 EDGE_ONLY = MixRecipe.parse("edge:1")
 MIXED = MixRecipe.parse("edge:8,triangle:1,wedge:2")
@@ -672,6 +673,27 @@ def test_train_equals_full_path_with_sparse_features(tmp_path, monkeypatch):
     assert all(np.array_equal(w, w_full) for w, w_full in zip(weights, weights_full))
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_gradient_check_covers_dropout_masks(monkeypatch, sparse):
+    # gradient_check trains with dropout on, so a backward pass that skips
+    # the dense dropout mask of a hidden layer must fail it. A (1, 0)
+    # network has no hidden layer, so it has no such mask to skip and
+    # passes either way: only the other shapes catch that break.
+    g = sparse_feature_graph(np.random.default_rng(5), n=12) if sparse else gradcheck_fixture()
+    assert verify.GRADCHECK_DROPOUT > 0
+    assert max(gradient_check(h1, h2, graph=g) for h1, h2 in GRADCHECK_SHAPES) < 1e-6
+    original = verify.forward
+
+    def maskless(*args, **kwargs):
+        Z, tape = original(*args, **kwargs)
+        return Z, [(Hin, None, H) for Hin, _, H in tape]
+
+    monkeypatch.setattr(verify, "forward", maskless)
+    errors = {shape: gradient_check(*shape, graph=g) for shape in GRADCHECK_SHAPES}
+    assert errors.pop((1, 0)) < 1e-6
+    assert min(errors.values()) > 1e-3
+
+
 def test_gradient_check_through_restricted_operators(monkeypatch):
     # gradient_check trains on the even nodes. The odd nodes hang off them
     # in chains, so the train rows reach some in one hop, more in two
@@ -711,11 +733,11 @@ def passes(monkeypatch):
     return calls
 
 
-def loop_dataset(sparse: bool):
+def loop_dataset(sparse: bool, density: float = 0.3):
     g = random_graph(np.random.default_rng(4), 150, 0.012, feature_dim=10, n_classes=3)
     X = g.features
     if sparse:
-        X = sp.csr_matrix(X * (np.random.default_rng(5).random(X.shape) < 0.3))
+        X = sp.csr_matrix(X * (np.random.default_rng(5).random(X.shape) < density))
     dataset = Dataset(Graph(g.n_nodes, g.edges, features=X, labels=g.labels, n_classes=3),
                       "loop")
     spec = SplitSpec(per_class_train=5, val_fraction=0.3, test_fraction=0.3)
@@ -794,8 +816,8 @@ def test_plans_find_input_rows_only_for_sparse_features(monkeypatch, h1):
     X = dataset.graph.features
     m = build_model(ModelConfig(h1=h1, h2=0, recipe=MIXED), dataset.graph)
     hops = []
-    walk_step = motifs.MixedOperator._reads
-    monkeypatch.setattr(motifs.MixedOperator, "_reads",
+    walk_step = motifs.MixedOperator.reads
+    monkeypatch.setattr(motifs.MixedOperator, "reads",
                         lambda S, *args: hops.append(1) or walk_step(S, *args))
     for features, input_hop in ((X.toarray(), 0), (X, 1)):
         hops.clear()
@@ -811,13 +833,81 @@ def test_plans_find_input_rows_only_for_sparse_features(monkeypatch, h1):
 
 
 def test_training_finds_dropout_positions_once(monkeypatch):
+    # Positions are found per train call, never per epoch.
     dataset, splits = loop_dataset(sparse=True)
     found = []
     original = nn.stored_in
     monkeypatch.setattr(nn, "stored_in", lambda *args: found.append(1) or original(*args))
+    counts = []
     for epochs in (2, 6):
         found.clear()
-        train(ModelConfig(h1=1, h2=0, recipe=MIXED, max_epochs=epochs, patience=10),
-              dataset, splits)
-        # the train plan, and the validation and test slices of X
-        assert len(found) == 3
+        _, report = train(ModelConfig(h1=1, h2=0, recipe=MIXED, max_epochs=epochs,
+                                      patience=10), dataset, splits)
+        assert report.epochs_run == epochs
+        counts.append(len(found))
+    assert counts[0] == counts[1] >= 1
+
+
+# ------------------------------------------------ the validation first hop
+
+@pytest.mark.parametrize("h1, h2", [(1, 0), (2, 1)])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_first_hop_pass_equals_full_path(monkeypatch, h1, h2, sparse):
+    # A fully stored CSR X reads more values than |R|·F, as a dense one
+    # does, so both carry the first hop. The pass with it sums in another
+    # order than the full path, so it agrees to rounding, not bit for bit.
+    dataset, splits = loop_dataset(sparse, density=1.0)
+    X, y, val = dataset.graph.features, dataset.graph.labels, splits.validation
+    m = build_model(ModelConfig(h1=h1, h2=h2, hidden_dim=8, recipe=MIXED, seed=7),
+                    dataset.graph)
+    plans = []
+    for fraction in (np.inf, -1.0):  # restricted, then S at every layer
+        monkeypatch.setattr(motifs, "FULL_FRACTION", fraction)
+        plans.append(eval_plan(m, val, X))
+    plan, full_plan = plans
+    R = m.mixed_matrix.walk(np.unique(val), h1)[0][0][0]
+    assert np.array_equal(plan.first_rows, R) and plan.inputs is None
+    assert plan.first_hop.shape == (R.size, X.shape[1])
+    # The first hop does not depend on whether a restriction fell back to S.
+    assert np.array_equal(plan.first_hop, full_plan.first_hop)
+    Z, Z_full = forward(m, X, plan=plan), forward(m, X)
+    np.testing.assert_allclose(Z[val], Z_full[val], rtol=1e-12, atol=0)
+    assert nn.cross_entropy_loss(Z, y, val) == pytest.approx(
+        nn.cross_entropy_loss(Z_full, y, val), rel=1e-12, abs=0)
+    # A training pass reads X: dropout makes it nonlinear in X.
+    no_hop = dataclasses.replace(plan, first_rows=None, first_hop=None)
+    assert np.array_equal(
+        forward(m, X, training=True, rng=np.random.default_rng(1), plan=plan),
+        forward(m, X, training=True, rng=np.random.default_rng(1), plan=no_hop))
+
+
+def test_sparse_features_read_on_few_rows_form_no_first_hop(monkeypatch):
+    # 30% of X is stored, so the validation rows read fewer values than
+    # |R|·F: the plan keeps X's input rows, and train slices X to them
+    # once for all its validation passes.
+    dataset, splits = loop_dataset(sparse=True)
+    X, val = dataset.graph.features, splits.validation
+    config = ModelConfig(h1=1, h2=0, recipe=MIXED, max_epochs=3)
+    m = build_model(config, dataset.graph)
+    plan = eval_plan(m, val, X)
+    assert plan.first_hop is None and plan.first_rows is None
+    assert np.array_equal(plan.inputs, row_plan(m, val, X).inputs)
+    assert plan.outputs.size * X.shape[1] > np.diff(X.indptr)[plan.inputs].sum()
+    sliced = []
+    keep_rows = nn.keep_rows
+    monkeypatch.setattr(nn, "keep_rows", lambda H, rows: sliced.append(rows) or keep_rows(H, rows))
+    train(config, dataset, splits)
+    assert len(sliced) == 1 and np.array_equal(sliced[0], plan.inputs)
+
+
+def test_evaluate_reads_sparse_features_whole(monkeypatch):
+    # evaluate runs one pass, so it does not slice X; a CSR product rounds
+    # alike on any rows, so its accuracy is that of the sliced pass.
+    dataset, splits = loop_dataset(sparse=True)
+    X, y, test = dataset.graph.features, dataset.graph.labels, splits.test
+    m = build_model(ModelConfig(h1=2, h2=1, recipe=MIXED, seed=2), dataset.graph)
+    plan = row_plan(m, test, X)
+    sliced = forward(m, nn.keep_rows(X, plan.inputs), plan=plan)
+    assert np.array_equal(forward(m, X, plan=plan)[test], sliced[test])
+    monkeypatch.setattr(nn, "keep_rows", None)
+    assert evaluate(m, X, y, test) == np.mean(sliced[test].argmax(axis=1) == y[test])

@@ -180,6 +180,18 @@ def test_builders_return_frozen_canonical_csr(rng):
         assert np.all(M.data != 0)
 
 
+@pytest.mark.parametrize("recipe", ["edge:8,triangle:1,wedge:2", "edge:1", "wedge:1"])
+def test_to_scipy_rows_is_a_row_block(rng, recipe):
+    # S's rows as one CSR, the first hop of a CSR X: each row sums the
+    # same terms in the same order as in the whole of S.
+    mixed = mix_matrices(MixRecipe.parse(recipe), random_graph(rng, 20, 0.3))
+    rows = np.array([0, 3, 4, 11, 19])
+    block = mixed.to_scipy(rows)
+    assert block.shape == (5, 20) and block.has_canonical_format
+    assert not block.data.flags.writeable
+    assert np.array_equal(block.toarray(), mixed.to_scipy()[rows].toarray())
+
+
 # ------------------------------------------------------- brute-force oracle
 
 def oracle_instances(g, motif):
