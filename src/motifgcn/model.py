@@ -16,10 +16,10 @@ validation rows in the evaluation pass and the test rows in the final
 lower GCN layer the rows S reaches from those. In backward, the
 gradient at the last GCN layer is nonzero on the train rows only and
 spreads by the same hops going down, so each GCN layer applies S
-with its other columns removed. ``train`` walks down the GCN layers
-once per split (``MixedOperator.walk``), which finds each layer's rows
-and their neighbours once, and builds that split's ``Plan`` from the
-walk: for each GCN layer S with the entries outside those rows or
+with its other columns removed. ``split_plans`` walks down the GCN
+layers once per split (``MixedOperator.walk``), which finds each layer's
+rows and their neighbours once, and builds that split's ``Plan`` from
+the walk: for each GCN layer S with the entries outside those rows or
 columns removed (again a ``MixedOperator``), the rows of X the bottom
 layer reads, and the split's rows, which are all that the softmax
 computes and the loss and accuracy read.
@@ -38,14 +38,18 @@ plan or operators, and training and the final ``evaluate`` equal it bit
 for bit.
 
 Evaluation applies no dropout, so the bottom GCN layer is linear in X.
-``train`` forms the validation rows' first hop ``(S @ X)[R]`` once
+``split_plans`` forms the validation rows' first hop ``(S @ X)[R]``
 (``eval_plan``) when multiplying it by W0 reads no more X values than
 the bottom layer reads without it; otherwise it slices a sparse X to
-the validation input rows once. Validation losses then equal the full
-path to within about 1 ulp, not bit for bit; whether or not the
-restrictions fall back to S, ``train`` forms the same first hop, so its
-reports stay bit-identical. The final ``evaluate`` runs once, so it
-reads X whole.
+the validation input rows. Validation losses then equal the full path
+to within about 1 ulp, not bit for bit; whether or not the restrictions
+fall back to S, it forms the same first hop, so reports stay
+bit-identical. The final ``evaluate`` runs once, so it reads X whole.
+
+The plans depend on the mixed operator, h1, X and the splits, not on
+the seed. A lone ``train`` call builds them itself; each
+``run_protocol`` call, and each ``grid_search`` recipe, builds them
+once and shares them, read-only, across its seeds and threads.
 
 Each epoch runs on the calling thread: the training step, its Adam
 update, then the validation pass on the updated weights and the
@@ -68,6 +72,7 @@ __all__ = [
     "ModelConfig",
     "Model",
     "Plan",
+    "SplitPlans",
     "TrainReport",
     "TrainingDiverged",
     "build_model",
@@ -75,11 +80,19 @@ __all__ = [
     "row_plan",
     "eval_plan",
     "fit_plan",
+    "split_plans",
     "train",
     "evaluate",
     "run_protocol",
     "grid_search",
 ]
+
+
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, epoch: int):
@@ -132,7 +145,7 @@ class Model:
 @dataclass(frozen=True, eq=False)  # identity equality, as Model
 class Plan:
     """The rows one forward pass computes; None means all rows, which is
-    the full path.
+    the full path. Its arrays are read-only, so threads may share it.
 
     Attributes:
         operators: for each GCN layer, the operator it applies in place
@@ -159,6 +172,43 @@ class Plan:
     first_rows: np.ndarray | None = None
     first_hop: np.ndarray | None = None
 
+    def __post_init__(self):
+        _read_only(self.inputs, self.outputs, self.stored, self.first_rows, self.first_hop)
+
+
+@dataclass(frozen=True, eq=False)  # identity equality, as Plan
+class SplitPlans:
+    """What ``train`` builds for its splits before the first epoch
+    (``split_plans``). It is a function of the mixed operator, h1, X and
+    the splits alone, so the runs of every seed may share it; its arrays
+    are read-only.
+
+    Attributes:
+        mixed, h1, features, splits: what the plans were built for.
+        train, validation, test: the checked split indices.
+        fit, grad_ops: ``fit_plan`` of the train rows.
+        val: ``eval_plan`` of the validation rows.
+        X_val: X with the rows ``val`` does not read removed
+            (``nn.keep_rows``), or X itself.
+    """
+
+    mixed: MixedOperator
+    h1: int
+    features: np.ndarray | sp.csr_matrix
+    splits: object
+    train: np.ndarray
+    validation: np.ndarray
+    test: np.ndarray
+    fit: Plan
+    grad_ops: list
+    val: Plan
+    X_val: np.ndarray | sp.csr_matrix
+
+    def __post_init__(self):
+        X = self.X_val
+        _read_only(self.train, self.validation, self.test,
+                   *((X.data, X.indices, X.indptr) if sp.issparse(X) else (X,)))
+
 
 @dataclass
 class TrainReport:
@@ -177,10 +227,7 @@ def build_model(config: ModelConfig, graph: Graph,
     Layer widths run feature_dim -> hidden (h1+h2-1 times) -> n_classes.
     ``mixed`` lets callers reuse one ``mix_matrices`` result across runs.
     """
-    if graph.features is None or graph.labels is None:
-        raise ValueError("graph must carry features and labels")
-    if graph.n_classes < 1:
-        raise ValueError("graph has no label classes")
+    _check_graph(graph)
     if mixed is None:
         mixed = mix_matrices(config.recipe, graph)
     n_layers = config.h1 + config.h2
@@ -332,7 +379,8 @@ def eval_plan(model: Model, rows, X) -> Plan:
     """``row_plan`` for evaluation passes that read X on ``rows`` again
     and again, as ``train``'s validation pass does each epoch. The plan
     carries X's first hop ``(S @ X)[R]``, formed once, when that reads
-    less.
+    less. ``split_plans`` builds it once per ``train`` call, or once for
+    all seeds of a ``run_protocol`` call or ``grid_search`` recipe.
 
     Evaluation applies no dropout, so the bottom GCN layer is linear in
     X: ``S_R (X W0) = (S_R X) W0``, the precomputed propagation of SGC
@@ -386,6 +434,40 @@ def _walk(model: Model, rows, inputs: bool) -> tuple[Plan, list]:
     return Plan([S.rows(*step) for step in steps], inputs, outputs), steps
 
 
+def split_plans(config: ModelConfig, dataset, splits,
+                mixed: MixedOperator | None = None) -> SplitPlans:
+    """The checked splits and the plans ``train`` reads them with:
+    ``fit_plan`` of the train rows, ``eval_plan`` of the validation rows
+    and X sliced to the rows that plan reads. ``mixed`` is as in
+    ``train``; it is built here when None, after the splits are checked,
+    so a bad split raises ValueError (as ``train`` documents) before any
+    mixing. Only ``config.recipe`` and ``config.h1`` are read."""
+    graph = dataset.graph
+    _check_graph(graph)
+    train_idx, val_idx, test_idx = (
+        _checked_index(f"{name} split", getattr(splits, name), graph.labels, graph.n_nodes)
+        for name in ("train", "validation", "test"))
+    if mixed is None:
+        mixed = mix_matrices(config.recipe, graph)
+    # The walks read the operator and h1 alone, so a model without
+    # weights serves them.
+    walker = Model(mixed, [], config)
+    X = graph.features
+    # Each pass computes only the rows it reads: training reads the train
+    # rows, evaluation the validation rows.
+    fit, grad_ops = fit_plan(walker, train_idx, X)
+    val = eval_plan(walker, val_idx, X)
+    return SplitPlans(mixed, config.h1, X, splits, train_idx, val_idx, test_idx,
+                      fit, grad_ops, val, nn.keep_rows(X, val.inputs))
+
+
+def _check_graph(graph: Graph) -> None:
+    if graph.features is None or graph.labels is None:
+        raise ValueError("graph must carry features and labels")
+    if graph.n_classes < 1:
+        raise ValueError("graph has no label classes")
+
+
 def _checked_index(what: str, mask, labels, n: int) -> np.ndarray:
     """``mask``, a boolean mask or an index array, as an index array.
     Raises ValueError when it is a boolean mask that is not n long, names
@@ -409,7 +491,7 @@ def _accuracy(Z: np.ndarray, labels, idx: np.ndarray) -> float:
 
 
 def train(config: ModelConfig, dataset, splits,
-          mixed: MixedOperator | None = None):
+          mixed: MixedOperator | None = None, *, plans: SplitPlans | None = None):
     """Full-batch training loop. Returns (model, TrainReport).
 
     Deterministic given config.seed; one dropout RNG stream is drawn
@@ -420,23 +502,28 @@ def train(config: ModelConfig, dataset, splits,
     is not N long, holds an index outside [0, N), or names an unlabeled
     node.
 
+    ``plans`` is ``split_plans(config, dataset, splits, mixed)`` when the
+    caller already holds it, as ``run_protocol`` and ``grid_search`` do
+    for all their seeds, else it is built here; the model then uses its
+    mixed operator. Plans built for another mixed operator, h1, X or
+    splits raise ValueError.
+
     Each epoch validates after its Adam step, on the calling thread, and
     then updates the best epoch and the patience count. The validation
-    plan is built once per call (``eval_plan``), with the first hop when
-    that reads less.
+    pass reads the plans' first hop when ``eval_plan`` formed one.
     """
     graph = dataset.graph
-    train_idx, val_idx, test_idx = (
-        _checked_index(f"{name} split", getattr(splits, name), graph.labels, graph.n_nodes)
-        for name in ("train", "validation", "test"))
-    model = build_model(config, graph, mixed=mixed)
+    if plans is None:
+        plans = split_plans(config, dataset, splits, mixed)
+    elif ((mixed is not None and mixed is not plans.mixed) or plans.h1 != config.h1
+          or plans.features is not graph.features or plans.splits is not splits):
+        raise ValueError("plans were built for another mixed operator, h1, "
+                         "features or splits")
+    model = build_model(config, graph, mixed=plans.mixed)
     X = graph.features
-    # Each pass computes only the rows it reads: training reads the train
-    # rows, evaluation the validation rows.
-    fit, grad_ops = fit_plan(model, train_idx, X)
-    val = eval_plan(model, val_idx, X)
+    train_idx, val_idx, test_idx = plans.train, plans.validation, plans.test
+    fit, grad_ops, val, X_val = plans.fit, plans.grad_ops, plans.val, plans.X_val
     rng = np.random.default_rng((config.seed, 0xD0))  # dropout stream
-    X_val = nn.keep_rows(X, val.inputs)
     y = graph.labels
 
     W = model.weights
@@ -489,14 +576,18 @@ def train(config: ModelConfig, dataset, splits,
 def _train_seeds(config: ModelConfig, dataset, splits, n_runs: int,
                  threads: int = 1) -> list:
     """TrainReports of seeds seed+0 ... seed+n_runs-1 in seed order, so
-    independent of scheduling; the runs share one mixed operator and go to
-    ``threads`` worker threads."""
+    independent of scheduling. The runs share one ``split_plans``, mixed
+    operator included, built here on the calling thread, and go to
+    ``threads`` worker threads. A bad ``n_runs``, ``threads`` or split
+    raises ValueError before the mix is built."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    mixed = mix_matrices(config.recipe, dataset.graph)
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    plans = split_plans(config, dataset, splits)
 
     def one(i):
-        return train(replace(config, seed=config.seed + i), dataset, splits, mixed=mixed)[1]
+        return train(replace(config, seed=config.seed + i), dataset, splits, plans=plans)[1]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(one, range(n_runs)))

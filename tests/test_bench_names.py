@@ -100,3 +100,24 @@ def test_traced_train_counts_the_validation_thread(monkeypatch):
     evals = [s for s in tracer.spans if s.name == "model.eval"]
     assert len(evals) == report.epochs_run + 1
     assert {s.thread for s in evals} == {threading.get_ident()}
+
+
+def test_protocol_trains_each_seed_through_the_module(monkeypatch):
+    # pubmed_protocol reads every run of a run_protocol call from the
+    # spans of the wrapped model.train, so each seed must still be one
+    # call through that attribute, on whichever thread runs it.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = _load("run")
+    g = random_graph(np.random.default_rng(2), 120, 0.03, feature_dim=8, n_classes=3)
+    dataset = Dataset(g, "random")
+    splits = make_splits(dataset, SplitSpec(per_class_train=5, val_fraction=0.2,
+                                            test_fraction=0.4), 1)
+    config = ModelConfig(recipe=MixRecipe.parse("edge:8,triangle:1,wedge:2"), max_epochs=3,
+                         seed=40)
+    with run.recorder() as tracer:
+        result = motifgcn.model.run_protocol(config, dataset, splits, n_runs=3, threads=2)
+    runs = [s for s in tracer.spans if s.name == "model.train"]
+    assert tracer.calls == {"motifgcn.model.train": 3}
+    assert sorted(r.counts["seed"] for r in runs) == [40, 41, 42]
+    by_seed = sorted(runs, key=lambda r: r.counts["seed"])
+    assert [r.counts["test_accuracy"] for r in by_seed] == result["accuracies"]

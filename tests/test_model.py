@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import sys
 import threading
 import warnings
 
@@ -25,6 +26,7 @@ from motifgcn.model import (
     grid_search,
     row_plan,
     run_protocol,
+    split_plans,
     train,
 )
 from motifgcn.synthetic import two_community_dataset
@@ -79,7 +81,8 @@ def test_build_model_seed_determinism(rng):
     lambda: Plan(inputs=np.arange(3), outputs=np.arange(3)),
     lambda: build_model(ModelConfig(h1=1, h2=0, recipe=EDGE_ONLY),
                         two_community_dataset(20, seed=0).graph),
-], ids=["Graph", "Splits", "Dataset", "Plan", "Model"])
+    lambda: split_plans(ModelConfig(h1=1, h2=0, recipe=EDGE_ONLY), *loop_dataset(True)),
+], ids=["Graph", "Splits", "Dataset", "Plan", "Model", "SplitPlans"])
 def test_array_holders_compare_by_identity(make):
     # A field-wise == would compare arrays, whose truth value numpy refuses.
     a, b = make(), make()
@@ -911,3 +914,117 @@ def test_evaluate_reads_sparse_features_whole(monkeypatch):
     assert np.array_equal(forward(m, X, plan=plan)[test], sliced[test])
     monkeypatch.setattr(nn, "keep_rows", None)
     assert evaluate(m, X, y, test) == np.mean(sliced[test].argmax(axis=1) == y[test])
+
+
+# --------------------------------------------- plans shared across seeds
+
+def planetoid_csr(directory):
+    write_planetoid_layout(directory)
+    with pytest.warns(UserWarning, match="published"):
+        return load_planetoid(directory, "cora")
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+def test_shared_plans_equal_separate_trains(small_dataset, small_splits, tmp_path,
+                                            threads, csr):
+    # The plans are a function of the mix, h1, X and the splits, so the
+    # seeds sharing them report what a lone train call, building its own
+    # plans and mix, reports. A short switch interval interleaves the
+    # threads reading the shared plans often.
+    dataset, splits = planetoid_csr(tmp_path) if csr else (small_dataset, small_splits)
+    assert sp.issparse(dataset.graph.features) == csr
+    config = ModelConfig(h1=2, h2=1, recipe=MIXED, seed=9, max_epochs=40)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        reports = model_module._train_seeds(config, dataset, splits, 4, threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for i, report in enumerate(reports):
+        assert report == train(dataclasses.replace(config, seed=9 + i), dataset, splits)[1]
+
+
+def test_train_seeds_builds_the_plans_once(small_dataset, small_splits, monkeypatch):
+    calls = {"fit_plan": 0, "eval_plan": 0}
+    for name in calls:
+        original = getattr(model_module, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(model_module, name, counted)
+    config = ModelConfig(h1=2, h2=1, recipe=MIXED, max_epochs=5)
+    assert len(model_module._train_seeds(config, small_dataset, small_splits, 4, 2)) == 4
+    assert calls == {"fit_plan": 1, "eval_plan": 1}
+
+
+def test_train_seeds_checks_before_mixing(small_dataset, small_splits, monkeypatch):
+    mixes = []
+    original = motifs.mix_matrices
+
+    def counted(*args):
+        mixes.append(1)
+        return original(*args)
+
+    # model.py holds its own name for the function; count either.
+    monkeypatch.setattr(motifs, "mix_matrices", counted)
+    monkeypatch.setattr(model_module, "mix_matrices", counted)
+    config = ModelConfig(h1=1, h2=0, recipe=MIXED, max_epochs=2)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_protocol(config, small_dataset, small_splits, n_runs=2, threads=0)
+    bad = dataclasses.replace(small_splits, test=np.append(small_splits.test, 10**6))
+    with pytest.raises(ValueError, match="test split index out of range"):
+        run_protocol(config, small_dataset, bad, n_runs=2, threads=2)
+    assert mixes == []
+    run_protocol(config, small_dataset, small_splits, n_runs=2, threads=2)
+    assert mixes == [1]
+
+
+def test_train_refuses_plans_built_for_other_inputs(small_dataset, small_splits, monkeypatch):
+    config = ModelConfig(h1=2, h2=1, recipe=MIXED, max_epochs=3)
+    plans = split_plans(config, small_dataset, small_splits)
+    assert train(config, small_dataset, small_splits, plans.mixed, plans=plans)[1] == (
+        train(config, small_dataset, small_splits, plans=plans)[1])
+
+    def no_epochs(*args, **kwargs):
+        raise AssertionError("an epoch ran with plans built for other inputs")
+
+    monkeypatch.setattr(model_module, "forward", no_epochs)
+    g = small_dataset.graph
+    copied = Dataset(Graph(g.n_nodes, g.edges, features=g.features.copy(), labels=g.labels,
+                           n_classes=g.n_classes), "copied features")
+    swapped = dataclasses.replace(small_splits, validation=small_splits.test,
+                                  test=small_splits.validation)
+    cases = [
+        (config, small_dataset, small_splits, motifs.mix_matrices(MIXED, g)),
+        (dataclasses.replace(config, h1=1), small_dataset, small_splits, None),
+        (config, copied, small_splits, None),
+        (config, small_dataset, swapped, None),
+    ]
+    for cfg, dataset, splits, mixed in cases:
+        with pytest.raises(ValueError, match="plans were built for another"):
+            train(cfg, dataset, splits, mixed, plans=plans)
+
+
+@pytest.mark.parametrize("density", [0.3, 1.0], ids=["sliced", "first-hop"])
+def test_shared_plans_are_read_only(monkeypatch, density):
+    # Every seed's thread reads the same plans. At density 0.3 the
+    # validation pass reads a slice of X; at 1.0 it reads the first hop.
+    monkeypatch.setattr(motifs, "FULL_FRACTION", np.inf)
+    dataset, splits = loop_dataset(sparse=True, density=density)
+    plans = split_plans(ModelConfig(h1=2, h2=1, recipe=MIXED), dataset, splits)
+    fit, val, X_val = plans.fit, plans.val, plans.X_val
+    parts = [plans.train, plans.validation, plans.test,
+             fit.inputs, fit.outputs, fit.stored, val.outputs]
+    if density < 1:
+        assert val.first_hop is None and X_val is not dataset.graph.features
+        parts += [val.inputs, X_val.data, X_val.indices, X_val.indptr]
+    else:
+        assert val.inputs is None and X_val is dataset.graph.features
+        parts += [val.first_rows, val.first_hop]
+    for part in parts:
+        assert part.size
+        with pytest.raises(ValueError, match="read-only"):
+            part[:1] = 0
