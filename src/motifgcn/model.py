@@ -24,18 +24,20 @@ columns removed (again a ``MixedOperator``), the rows of X the bottom
 layer reads, and the split's rows, which are all that the softmax
 computes and the loss and accuracy read.
 
-Both ends of the network compute only those rows. Training dropout on
-a sparse X draws only for the stored values in the input rows, each
-draw keyed by the value's position, so a value is kept or dropped as
-on the full path; dropout and the first product ``Hin @ W`` cost in
-proportion to those values. Every array keeps
-all N rows, with zeros where nothing is computed, and the dense
-products ``Hin @ W`` run on all of them: BLAS may round a product on a
-row subset differently from the same rows of the full product. A CSR
-product sums each row alone, in stored order, so it rounds the same on
-any rows. ``forward`` and ``backward`` run the full path when given no
-plan or operators, and training and the final ``evaluate`` equal it bit
-for bit.
+Both ends of the network compute only those rows. ``split_plans``
+slices a sparse X once to each pass's input rows (``nn.keep_rows``),
+for training as for validation. Training dropout masks that fixed
+block, each draw keyed by the value's position in X, so a value is
+kept or dropped as on the full path, and stays stored as a zero when
+dropped: a zero term leaves a finite sum as it was. Dropout and the
+first product ``Hin @ W`` cost in proportion to those values. Every
+array keeps all N rows, with zeros where nothing is computed, and the
+dense products ``Hin @ W`` run on all of them: BLAS may round a product
+on a row subset differently from the same rows of the full product. A
+CSR product sums each row alone, in stored order, so it rounds the same
+on any rows. ``forward`` and ``backward`` run the full path when given
+no plan or operators, and training and the final ``evaluate`` equal it
+bit for bit.
 
 Evaluation applies no dropout, so the bottom GCN layer is linear in X.
 ``split_plans`` forms the validation rows' first hop ``(S @ X)[R]``
@@ -77,7 +79,6 @@ __all__ = [
     "TrainingDiverged",
     "build_model",
     "forward",
-    "row_plan",
     "eval_plan",
     "fit_plan",
     "split_plans",
@@ -154,9 +155,10 @@ class Plan:
         inputs: the rows of X that the bottom GCN layer reads; None for
             a dense X too, which every dense product reads whole.
         outputs: the rows of the network output that are read.
-        stored: the positions of a CSR X's stored values in ``inputs``
-            (``nn.stored_in``), the only ones training dropout draws for
-            and keeps; found once per ``fit_plan``.
+        stored: the positions in a CSR X of its values in ``inputs``
+            (``nn.stored_in``), in the order X sliced to ``inputs``
+            stores them: the keys of training dropout. Found once per
+            ``fit_plan``.
         first_rows: the rows R the bottom GCN layer computes, when
             ``first_hop`` is set.
         first_hop: ``(S @ X)[first_rows]`` as a dense array, formed once
@@ -188,8 +190,9 @@ class SplitPlans:
         train, validation, test: the checked split indices.
         fit, grad_ops: ``fit_plan`` of the train rows.
         val: ``eval_plan`` of the validation rows.
-        X_val: X with the rows ``val`` does not read removed
-            (``nn.keep_rows``), or X itself.
+        X_fit, X_val: X with the rows ``fit`` or ``val`` does not read
+            removed (``nn.keep_rows``), or X itself for a dense X or a
+            plan that reads every row.
     """
 
     mixed: MixedOperator
@@ -202,12 +205,14 @@ class SplitPlans:
     fit: Plan
     grad_ops: list
     val: Plan
+    X_fit: np.ndarray | sp.csr_matrix
     X_val: np.ndarray | sp.csr_matrix
 
     def __post_init__(self):
-        X = self.X_val
-        _read_only(self.train, self.validation, self.test,
-                   *((X.data, X.indices, X.indptr) if sp.issparse(X) else (X,)))
+        arrays = [self.train, self.validation, self.test]
+        for X in (self.X_fit, self.X_val):
+            arrays += (X.data, X.indices, X.indptr) if sp.issparse(X) else (X,)
+        _read_only(*arrays)
 
 
 @dataclass
@@ -246,18 +251,19 @@ def forward(model: Model, X, training: bool = False, rng=None,
     layer's input and is active only in training mode. The tape holds
     each layer's (dropped-out input, dropout mask, output).
 
-    ``plan`` (from ``row_plan``, ``eval_plan`` or ``fit_plan``) names
-    the rows that are read, and Z is right on its outputs only. They
-    depend on X's input rows alone: training dropout keeps only those
-    rows of a sparse X, and an evaluation caller may slice it to them
-    once (``nn.keep_rows``). Each GCN layer applies the plan's operator,
-    and the softmax runs on the outputs, leaving 0 on the other rows.
-    Every array keeps all N rows, so dropout draws and the dense products
-    ``Hin @ W`` are the same as on the full path. The default plan runs
-    the full path, the reference the restricted one equals bit for bit
-    on the rows it computes. An evaluation pass given a plan's first hop
-    computes the bottom layer from it instead of X, and equals the full
-    path to rounding.
+    ``plan`` (from ``eval_plan`` or ``fit_plan``) names the rows that
+    are read, and Z is right on its outputs only. They depend on X's
+    input rows alone, so a sparse X may come sliced to them
+    (``nn.keep_rows``), and a training pass on a ``fit_plan`` of a CSR
+    X must get it so (``SplitPlans.X_fit``): its dropout keys each value
+    by its position in the whole X, the plan's ``stored``. Each GCN
+    layer applies the plan's operator, and the softmax runs on the
+    outputs, leaving 0 on the other rows. Every array keeps all N rows,
+    so dropout draws and the dense products ``Hin @ W`` are the same as
+    on the full path. The default plan runs the full path, the reference
+    the restricted one equals bit for bit on the rows it computes. An
+    evaluation pass given a plan's first hop computes the bottom layer
+    from it instead of X, and equals the full path to rounding.
     """
     if X.shape[0] != model.mixed_matrix.shape[0]:
         raise ValueError("feature rows must match mixed-matrix dimension")
@@ -271,8 +277,7 @@ def forward(model: Model, X, training: bool = False, rng=None,
     operators = [model.mixed_matrix] * h1 if plan.operators is None else plan.operators
     out = slice(None) if plan.outputs is None else plan.outputs
     for k, W in enumerate(model.weights):
-        rows, at = (plan.inputs, plan.stored) if k == 0 else (None, None)
-        Hin, mask = nn.dropout_forward(H, rate, rng, training, rows, at)
+        Hin, mask = nn.dropout_forward(H, rate, rng, training, plan.stored if k == 0 else None)
         # Diverged weights overflow to inf, and inf times 0 or minus inf
         # is nan, in the product or the softmax; train reports
         # TrainingDiverged.
@@ -356,31 +361,24 @@ def regularized_loss(model: Model, Z: np.ndarray, labels, mask_idx) -> float:
 def evaluate(model: Model, X, labels: np.ndarray, mask) -> float:
     """Fraction of masked nodes whose argmax prediction matches the label.
 
-    Only the masked rows are computed, as ``row_plan`` plans them. X is
-    read whole: the pass runs once, so slicing a sparse X to the rows it
-    reaches (``nn.keep_rows``) would cost more than the product saves,
-    and a CSR product rounds alike on any rows. Raises ValueError for a
-    mask that ``train`` would refuse as a split, and for a boolean mask
-    that is not N long."""
+    Only the masked rows are computed, on the plan of ``fit_plan``'s
+    walk. X is read whole: the pass runs once, so slicing a sparse X to
+    the rows it reaches (``nn.keep_rows``) would cost more than the
+    product saves, and a CSR product rounds alike on any rows. Raises
+    ValueError for a mask that ``train`` would refuse as a split, and
+    for a boolean mask that is not N long."""
     idx = _checked_index("evaluate: mask", mask, labels, model.mixed_matrix.shape[0])
     Z = forward(model, X, training=False, plan=_walk(model, idx, inputs=False)[0])
     return _accuracy(Z, labels, idx)
 
 
-def row_plan(model: Model, rows, X=None) -> Plan:
-    """``forward``'s plan for an output read on ``rows``.
-
-    The rows of X that the bottom layer reads are found for a CSR X, or
-    when no X is given; a dense X is read whole by every product."""
-    return _walk(model, rows, X is None or sp.issparse(X))[0]
-
-
 def eval_plan(model: Model, rows, X) -> Plan:
-    """``row_plan`` for evaluation passes that read X on ``rows`` again
-    and again, as ``train``'s validation pass does each epoch. The plan
-    carries X's first hop ``(S @ X)[R]``, formed once, when that reads
-    less. ``split_plans`` builds it once per ``train`` call, or once for
-    all seeds of a ``run_protocol`` call or ``grid_search`` recipe.
+    """``forward``'s plan for evaluation passes that read the output on
+    ``rows`` again and again, as ``train``'s validation pass does each
+    epoch. The plan carries X's first hop ``(S @ X)[R]``, formed once,
+    when that reads less; else the rows of a CSR X the bottom layer reads.
+    ``split_plans`` builds it once per ``train`` call, or once for all
+    seeds of a ``run_protocol`` call or ``grid_search`` recipe.
 
     Evaluation applies no dropout, so the bottom GCN layer is linear in
     X: ``S_R (X W0) = (S_R X) W0``, the precomputed propagation of SGC
@@ -417,10 +415,11 @@ def eval_plan(model: Model, rows, X) -> Plan:
 
 def fit_plan(model: Model, train_idx, X=None) -> tuple[Plan, list]:
     """``forward``'s plan and ``backward``'s operators for a loss read on
-    ``train_idx``: one walk serves both passes. ``X`` is as in
-    ``row_plan``; for a CSR X the plan also holds the positions of its
-    stored values in the input rows, the only ones training dropout
-    draws for."""
+    ``train_idx``: one walk serves both passes. The rows of X that the
+    bottom layer reads are found for a CSR X, or when no X is given; a
+    dense X is read whole by every product. For a CSR X the plan also
+    holds the positions of its stored values in those rows, the only
+    ones training dropout draws for."""
     plan, steps = _walk(model, train_idx, X is None or sp.issparse(X))
     if plan.inputs is not None and sp.issparse(X):
         plan = replace(plan, stored=nn.stored_in(X.indptr, plan.inputs))
@@ -438,7 +437,7 @@ def split_plans(config: ModelConfig, dataset, splits,
                 mixed: MixedOperator | None = None) -> SplitPlans:
     """The checked splits and the plans ``train`` reads them with:
     ``fit_plan`` of the train rows, ``eval_plan`` of the validation rows
-    and X sliced to the rows that plan reads. ``mixed`` is as in
+    and X sliced to the rows each plan reads. ``mixed`` is as in
     ``train``; it is built here when None, after the splits are checked,
     so a bad split raises ValueError (as ``train`` documents) before any
     mixing. Only ``config.recipe`` and ``config.h1`` are read."""
@@ -458,7 +457,8 @@ def split_plans(config: ModelConfig, dataset, splits,
     fit, grad_ops = fit_plan(walker, train_idx, X)
     val = eval_plan(walker, val_idx, X)
     return SplitPlans(mixed, config.h1, X, splits, train_idx, val_idx, test_idx,
-                      fit, grad_ops, val, nn.keep_rows(X, val.inputs))
+                      fit, grad_ops, val, nn.keep_rows(X, fit.inputs),
+                      nn.keep_rows(X, val.inputs))
 
 
 def _check_graph(graph: Graph) -> None:
@@ -471,15 +471,21 @@ def _check_graph(graph: Graph) -> None:
 def _checked_index(what: str, mask, labels, n: int) -> np.ndarray:
     """``mask``, a boolean mask or an index array, as an index array.
     Raises ValueError when it is a boolean mask that is not n long, names
-    no node, holds an index outside [0, n), or names an unlabeled node."""
+    no node, holds an index that is not an integer or is outside [0, n),
+    repeats a node, or names an unlabeled node."""
     mask = np.asarray(mask)
     if mask.dtype == bool and mask.shape != (n,):
         raise ValueError(f"{what} is a boolean mask of shape {mask.shape}, not ({n},)")
+    if mask.size and mask.dtype.kind not in "biu":
+        raise ValueError(f"{what} holds non-integer indices ({mask.dtype})")
     idx = nn.as_index(mask)
     if idx.size == 0:
         raise ValueError(f"{what} is empty")
     if idx.min() < 0 or idx.max() >= n:
         raise ValueError(f"{what} index out of range [0, {n})")
+    nodes, counts = np.unique(idx, return_counts=True)
+    if counts.max() > 1:
+        raise ValueError(f"{what} repeats node {nodes[counts > 1][0]}")
     unlabeled = idx[np.asarray(labels)[idx] == UNLABELED]
     if unlabeled.size:
         raise ValueError(f"{what} names unlabeled node {unlabeled[0]}")
@@ -499,8 +505,8 @@ def train(config: ModelConfig, dataset, splits,
     ``mix_matrices(config.recipe, dataset.graph)`` operator when the
     caller already holds it, else it is built here. Raises ValueError
     before the first epoch when a split is empty, is a boolean mask that
-    is not N long, holds an index outside [0, N), or names an unlabeled
-    node.
+    is not N long, holds an index that is not an integer or is outside
+    [0, N), repeats a node, or names an unlabeled node.
 
     ``plans`` is ``split_plans(config, dataset, splits, mixed)`` when the
     caller already holds it, as ``run_protocol`` and ``grid_search`` do
@@ -522,7 +528,7 @@ def train(config: ModelConfig, dataset, splits,
     model = build_model(config, graph, mixed=plans.mixed)
     X = graph.features
     train_idx, val_idx, test_idx = plans.train, plans.validation, plans.test
-    fit, grad_ops, val, X_val = plans.fit, plans.grad_ops, plans.val, plans.X_val
+    fit, grad_ops, val = plans.fit, plans.grad_ops, plans.val
     rng = np.random.default_rng((config.seed, 0xD0))  # dropout stream
     y = graph.labels
 
@@ -539,7 +545,8 @@ def train(config: ModelConfig, dataset, splits,
         # returns, so the pass reuses its pages. Released before the
         # validation pass, they went back to the system, and a powerlaw
         # train took 1.5 s instead of 1.2 s, with up to 4x the page faults.
-        Z, tape = forward(model, X, training=True, rng=rng, with_tape=True, plan=fit)
+        Z, tape = forward(model, plans.X_fit, training=True, rng=rng, with_tape=True,
+                          plan=fit)
         loss = regularized_loss(model, Z, y, train_idx)
         if not np.isfinite(loss):
             raise TrainingDiverged(epoch)
@@ -547,7 +554,7 @@ def train(config: ModelConfig, dataset, splits,
         for k, g in enumerate(grads):
             W[k], m[k], v[k] = nn.adam_step(W[k], m[k], v[k], g, config.learning_rate, epoch)
 
-        Z_val = forward(model, X_val, training=False, plan=val)
+        Z_val = forward(model, plans.X_val, training=False, plan=val)
         val_loss = nn.cross_entropy_loss(Z_val, y, val_idx)
         train_losses.append(loss)
         val_losses.append(val_loss)

@@ -106,7 +106,7 @@ def adam_step(W: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarray,
     return W, m, v
 
 
-def dropout_forward(H, rate: float, rng, training: bool, rows=None, at=None):
+def dropout_forward(H, rate: float, rng, training: bool, at=None):
     """Inverted dropout. Returns (output, keep-scale mask).
 
     The mask already folds in the 1/(1-rate) rescale, so the backward
@@ -116,25 +116,23 @@ def dropout_forward(H, rate: float, rng, training: bool, rows=None, at=None):
     For a scipy CSR H only the stored values are dropped (the
     ``sparse_dropout`` of Kipf & Welling's GCN): dropping a zero changes
     nothing. The call takes one 64-bit key from ``rng``, and the value
-    stored at position p (its index in ``H.data``) is kept iff
-    u(key, p) >= rate, where u is the SplitMix64 finalizer of
-    key + (p+1)·γ shifted right by 11 and scaled by 2⁻⁵³ (Steele, Lea
-    and Flood 2014; counter-based as in Salmon et al. 2011). A value's
-    fate thus depends on its key and position alone, not on which other
-    values are read. The output is a new CSR matrix holding the kept
-    values, scaled as the dense path scales them. A sparse H is only
-    ever the network input, whose gradient is never formed, so it gets
-    no mask (None).
+    stored at position p is kept iff u(key, p) >= rate, where u is the
+    SplitMix64 finalizer of key + (p+1)·γ shifted right by 11 and scaled
+    by 2⁻⁵³ (Steele, Lea and Flood 2014; counter-based as in Salmon et
+    al. 2011). A value's fate thus depends on its key and position
+    alone, not on which other values are read. The output is a CSR
+    matrix on H's own ``indices`` and ``indptr`` (shared, not copied)
+    whose kept values are scaled as the dense path scales them and whose
+    dropped ones are stored zeros, so each row sums as H's does. A
+    sparse H is only ever the network input, whose gradient is never
+    formed, so it gets no mask (None).
 
-    ``rows`` (sorted and distinct, None for all) are the rows of a CSR H
-    that are read. Only the values in ``rows`` are hashed and kept (as
-    ``keep_rows`` does), so the call costs in proportion to them, and on
-    those rows the output equals that of the call without ``rows``.
-    ``at`` holds the positions of H's stored values in ``rows``
-    (``stored_in(H.indptr, rows)``) when the caller has them, as a
-    training loop does once for all its epochs; else they are found
-    here. A dense H keeps every row: the dense products that follow run
-    on all rows.
+    ``at`` holds the positions p of H's stored values, in stored order:
+    their indices in the ``data`` of the X that H was sliced from
+    (``keep_rows``), as ``Plan.stored`` holds them, or ``arange(H.nnz)``
+    for an H that is X itself (None). A value is thus kept or dropped as
+    in X, and the call costs in proportion to H's values. Raises
+    ValueError when ``at`` does not hold one position per stored value.
     """
     if not 0 <= rate < 1:
         raise ValueError("dropout rate must be in [0, 1)")
@@ -142,17 +140,20 @@ def dropout_forward(H, rate: float, rng, training: bool, rows=None, at=None):
         return H, None
     scale = 1.0 / (1.0 - rate)
     if sp.issparse(H):
-        key = rng.integers(2**64, dtype=np.uint64)
         if at is None:
-            at = np.arange(H.nnz) if rows is None else stored_in(H.indptr, rows)
-        return _stored(H, _kept(key, at, rate), rows, scale), None
+            at = np.arange(H.nnz)
+        elif at.size != H.nnz:
+            raise ValueError(f"dropout positions: {at.size} for {H.nnz} stored values")
+        key = rng.integers(2**64, dtype=np.uint64)
+        data = H.data * (_kept(key, at, rate) * scale)
+        return sp.csr_matrix((data, H.indices, H.indptr), shape=H.shape), None
     mask = (rng.random(H.shape) >= rate) * scale
     return H * mask, mask
 
 
 def _kept(key: np.uint64, at: np.ndarray, rate: float) -> np.ndarray:
-    """The positions p in ``at`` whose keyed draw u(key, p) is at least
-    ``rate``, in ``at``'s order.
+    """Whether each position p in ``at`` has its keyed draw u(key, p) at
+    least ``rate``, as a boolean array in ``at``'s order.
 
     u = (z >> 11)·2⁻⁵³ >= rate holds iff z >= ceil(rate·2⁵³)·2¹¹, so the
     test is done on z itself, with no rounding. Positions are hashed
@@ -174,16 +175,21 @@ def _kept(key: np.uint64, at: np.ndarray, rate: float) -> np.ndarray:
         np.right_shift(zc, _LAST_SHIFT, out=tc)
         zc ^= tc
         np.greater_equal(zc, bound, out=keep[start:start + p.size])
-    return at[np.flatnonzero(keep)]
+    return keep
 
 
 def keep_rows(H, rows):
     """A CSR H with the values outside ``rows`` (sorted and distinct)
     removed, in H's shape; H itself when ``rows`` is None or H is dense.
-    Each kept row is stored as in H, so a product sums it as H's would."""
+    Each kept row is stored as in H, so a product sums it as H's would,
+    and its values sit at ``stored_in(H.indptr, rows)`` in H."""
     if rows is None or not sp.issparse(H):
         return H
-    return _stored(H, stored_in(H.indptr, rows), rows)
+    at = stored_in(H.indptr, rows)
+    indptr = np.zeros_like(H.indptr)
+    indptr[rows + 1] = np.diff(H.indptr)[rows]
+    np.cumsum(indptr, out=indptr)
+    return sp.csr_matrix((H.data[at], H.indices[at], indptr), shape=H.shape)
 
 
 def stored_in(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -194,22 +200,3 @@ def stored_in(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     at = np.repeat(start - (np.cumsum(count) - count), count)
     at += np.arange(at.size)
     return at
-
-
-def _stored(H: sp.csr_matrix, kept: np.ndarray, rows=None,
-            scale: float = 1.0) -> sp.csr_matrix:
-    """The CSR matrix of H's values at the sorted positions ``kept``, all
-    in ``rows`` (sorted; None for all), times ``scale``.
-
-    Integer gathers are several times faster than boolean indexing, so
-    callers pass positions. Row r ends at the count of kept values
-    before H's row r ends; that count is searched for ``rows`` alone and
-    carried over the rows between them, which hold nothing."""
-    data = H.data[kept]
-    if scale != 1.0:
-        data *= scale
-    ends = slice(1, None) if rows is None else rows + 1
-    indptr = np.zeros(H.shape[0] + 1, dtype=np.int64)
-    indptr[ends] = np.searchsorted(kept, H.indptr[ends])
-    np.maximum.accumulate(indptr, out=indptr)
-    return sp.csr_matrix((data, H.indices[kept], indptr), shape=H.shape)

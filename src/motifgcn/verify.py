@@ -9,6 +9,7 @@ from .graph import Graph, build_adjacency
 from .motifs import MixRecipe, motif_matrix_oracle, triangle_motif_matrix, wedge_motif_matrix
 from .model import (ModelConfig, Plan, backward, build_model, fit_plan, forward,
                     regularized_loss)
+from .nn import keep_rows
 
 __all__ = [
     "random_graph",
@@ -56,11 +57,12 @@ def gradient_check(h1: int, h2: int, graph: Graph | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     The analytic gradients come from the passes ``train`` runs, which
-    compute only the rows the loss reads; the finite differences come
-    from the full forward pass. Both train with dropout
-    (``GRADCHECK_DROPOUT``), and every pass draws from a fresh generator
-    seeded with ``GRADCHECK_MASK_SEED``: it drops the same values in
-    each, so the loss is a deterministic function of the weights.
+    compute only the rows the loss reads, from X sliced to the rows they
+    read; the finite differences come from the full forward pass. Both
+    train with dropout (``GRADCHECK_DROPOUT``), and every pass draws from
+    a fresh generator seeded with ``GRADCHECK_MASK_SEED``: it drops the
+    same values in each, so the loss is a deterministic function of the
+    weights.
     """
     if graph is None:
         graph = gradcheck_fixture()
@@ -70,13 +72,13 @@ def gradient_check(h1: int, h2: int, graph: Graph | None = None) -> float:
     X, y = graph.features, graph.labels
     train_idx = np.arange(0, graph.n_nodes, 2)
 
-    def loss(plan=Plan()):
+    def loss(plan=Plan(), H=X):
         rng = np.random.default_rng(GRADCHECK_MASK_SEED)
-        Z, tape = forward(model, X, training=True, rng=rng, with_tape=True, plan=plan)
+        Z, tape = forward(model, H, training=True, rng=rng, with_tape=True, plan=plan)
         return regularized_loss(model, Z, y, train_idx), tape
 
     fit, grad_ops = fit_plan(model, train_idx, X)
-    grads = backward(model, loss(fit)[1], y, train_idx, grad_ops)
+    grads = backward(model, loss(fit, keep_rows(X, fit.inputs))[1], y, train_idx, grad_ops)
 
     worst = 0.0
     for W, g in zip(model.weights, grads):

@@ -3,6 +3,7 @@ import pickle
 import sys
 import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from motifgcn.model import (
     fit_plan,
     forward,
     grid_search,
-    row_plan,
     run_protocol,
     split_plans,
     train,
@@ -289,6 +289,29 @@ def test_train_rejects_unlabeled_split_node(small_dataset, small_splits, monkeyp
         train(ModelConfig(h1=1, h2=0, recipe=EDGE_ONLY), dataset, small_splits)
 
 
+@pytest.mark.parametrize("split", ["train", "validation", "test"])
+@pytest.mark.parametrize("fault", ["non-integer", "repeated"])
+def test_train_rejects_non_integer_or_repeated_split_index(small_dataset, small_splits,
+                                                           monkeypatch, split, fault):
+    # A float index would be truncated to another node. A repeated train
+    # node would count twice in the loss but once in backward's gradient.
+    idx = np.asarray(getattr(small_splits, split))
+    if fault == "non-integer":
+        bad_idx, message = idx + 0.9, f"{split} split holds non-integer indices \\(float64\\)"
+    else:
+        bad_idx, message = np.append(idx, idx[0]), f"{split} split repeats node {idx[0]}"
+    splits = SimpleNamespace(**{name: getattr(small_splits, name)
+                                for name in ("train", "validation", "test")})
+    setattr(splits, split, bad_idx)
+
+    def no_epochs(*args, **kwargs):
+        raise AssertionError("an epoch ran before the split was checked")
+
+    monkeypatch.setattr(model_module, "forward", no_epochs)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train(ModelConfig(h1=1, h2=0, recipe=EDGE_ONLY), small_dataset, splits)
+
+
 def test_cli_train_rejects_unlabeled_planetoid_train_node(tmp_path, capsys):
     # An all-zero ally row among the first len(y) rows leaves a train node
     # without a label.
@@ -373,7 +396,9 @@ def test_evaluate_rejects_unlabeled_node():
     (np.zeros(20, dtype=bool), "evaluate: mask is empty"),
     (np.ones(19, dtype=bool), r"evaluate: mask is a boolean mask of shape \(19,\), not \(20,\)"),
     (np.ones(21, dtype=bool), r"evaluate: mask is a boolean mask of shape \(21,\), not \(20,\)"),
-], ids=["negative", "past the end", "no node", "short bool", "long bool"])
+    ([0.9, 1.9, 2.9], r"evaluate: mask holds non-integer indices \(float64\)"),
+    ([0, 0, 1, 2], "evaluate: mask repeats node 0"),
+], ids=["negative", "past the end", "no node", "short bool", "long bool", "float", "repeated"])
 def test_evaluate_rejects_bad_mask(mask, message):
     # evaluate checks a mask as train checks a split, and a boolean mask's
     # length, before any pass runs.
@@ -488,11 +513,10 @@ def test_sparse_dropout_masks_are_uncorrelated_across_epochs(monkeypatch):
     masks = []
     dropout = nn.dropout_forward
 
-    def recording(H, rate, rng, training, rows=None, at=None):
-        out, mask = dropout(H, rate, rng, training, rows, at)
+    def recording(H, rate, rng, training, at=None):
+        out, mask = dropout(H, rate, rng, training, at)
         if training and sp.issparse(H):
-            keep = out.toarray() != 0
-            masks.append((keep if rows is None else keep[rows]).ravel())
+            masks.append(out.data != 0)  # X stores ones: a dropped value is 0
         return out, mask
 
     monkeypatch.setattr(nn, "dropout_forward", recording)
@@ -546,7 +570,8 @@ def test_walk_reads_no_extra_rows(monkeypatch, recipe, seed):
             assert np.array_equal(inputs, expected_inputs)
         # A restriction is S with the rows (or columns) outside R zeroed.
         fit, grad_ops = fit_plan(m, rows)
-        for ops, axis in ((fit.operators, 0), (grad_ops, 1), (row_plan(m, rows).operators, 0)):
+        for ops, axis in ((fit.operators, 0), (grad_ops, 1),
+                          (eval_plan(m, rows, g.features).operators, 0)):
             for op, R in zip(ops, expected, strict=True):
                 kept = np.zeros(30, dtype=bool)
                 kept[R] = True
@@ -561,7 +586,8 @@ def test_every_operator_is_read_only():
     m = build_model(ModelConfig(recipe=MIXED), g)
     rows = np.arange(0, 300, 50)
     fit, grad_ops = fit_plan(m, rows)
-    ops = [m.mixed_matrix, *fit.operators, *grad_ops, *row_plan(m, rows).operators]
+    ops = [m.mixed_matrix, *fit.operators, *grad_ops,
+           *eval_plan(m, rows, g.features).operators]
     assert sum(op is not m.mixed_matrix for op in ops) == 6
     for op in ops:
         for part in (op.s, *(a for M in (op.P, op.A_out, op.A_in)
@@ -666,8 +692,8 @@ def test_train_equals_full_path_with_sparse_features(tmp_path, monkeypatch):
     m = build_model(config, ds.graph)
     with monkeypatch.context() as patch:
         patch.setattr(motifs, "FULL_FRACTION", np.inf)
-        plans = [fit_plan(m, splits.train)[0], row_plan(m, splits.validation),
-                 row_plan(m, splits.test)]
+        plans = [fit_plan(m, rows)[0]
+                 for rows in (splits.train, splits.validation, splits.test)]
     assert all(p.inputs.size < ds.graph.n_nodes for p in plans)
     (report, weights, protocol), (report_full, weights_full, protocol_full) = (
         full_path_runs(monkeypatch, config, ds, splits))
@@ -829,10 +855,10 @@ def test_plans_find_input_rows_only_for_sparse_features(monkeypatch, h1):
         if input_hop:
             assert np.array_equal(fit.inputs, fit_plan(m, splits.train)[0].inputs)
             assert np.array_equal(fit.stored, nn.stored_in(X.indptr, fit.inputs))
-            assert row_plan(m, splits.validation, features).stored is None
+            assert eval_plan(m, splits.validation, features).stored is None
         else:
-            assert fit.inputs is fit.stored is row_plan(m, splits.validation,
-                                                          features).inputs is None
+            assert fit.inputs is fit.stored is eval_plan(m, splits.validation,
+                                                           features).inputs is None
 
 
 def test_training_finds_dropout_positions_once(monkeypatch):
@@ -887,20 +913,24 @@ def test_first_hop_pass_equals_full_path(monkeypatch, h1, h2, sparse):
 def test_sparse_features_read_on_few_rows_form_no_first_hop(monkeypatch):
     # 30% of X is stored, so the validation rows read fewer values than
     # |R|·F: the plan keeps X's input rows, and train slices X to them
-    # once for all its validation passes.
+    # once for all its validation passes, as it slices X once to the
+    # train rows' input rows for all its training passes.
     dataset, splits = loop_dataset(sparse=True)
     X, val = dataset.graph.features, splits.validation
     config = ModelConfig(h1=1, h2=0, recipe=MIXED, max_epochs=3)
     m = build_model(config, dataset.graph)
     plan = eval_plan(m, val, X)
     assert plan.first_hop is None and plan.first_rows is None
-    assert np.array_equal(plan.inputs, row_plan(m, val, X).inputs)
+    assert np.array_equal(plan.inputs, fit_plan(m, val, X)[0].inputs)
     assert plan.outputs.size * X.shape[1] > np.diff(X.indptr)[plan.inputs].sum()
     sliced = []
     keep_rows = nn.keep_rows
     monkeypatch.setattr(nn, "keep_rows", lambda H, rows: sliced.append(rows) or keep_rows(H, rows))
     train(config, dataset, splits)
-    assert len(sliced) == 1 and np.array_equal(sliced[0], plan.inputs)
+    fit = fit_plan(m, splits.train, X)[0]
+    assert fit.inputs.size < X.shape[0]
+    assert len(sliced) == 2
+    assert np.array_equal(sliced[0], fit.inputs) and np.array_equal(sliced[1], plan.inputs)
 
 
 def test_evaluate_reads_sparse_features_whole(monkeypatch):
@@ -909,7 +939,7 @@ def test_evaluate_reads_sparse_features_whole(monkeypatch):
     dataset, splits = loop_dataset(sparse=True)
     X, y, test = dataset.graph.features, dataset.graph.labels, splits.test
     m = build_model(ModelConfig(h1=2, h2=1, recipe=MIXED, seed=2), dataset.graph)
-    plan = row_plan(m, test, X)
+    plan = fit_plan(m, test, X)[0]
     sliced = forward(m, nn.keep_rows(X, plan.inputs), plan=plan)
     assert np.array_equal(forward(m, X, plan=plan)[test], sliced[test])
     monkeypatch.setattr(nn, "keep_rows", None)
@@ -1015,9 +1045,11 @@ def test_shared_plans_are_read_only(monkeypatch, density):
     monkeypatch.setattr(motifs, "FULL_FRACTION", np.inf)
     dataset, splits = loop_dataset(sparse=True, density=density)
     plans = split_plans(ModelConfig(h1=2, h2=1, recipe=MIXED), dataset, splits)
-    fit, val, X_val = plans.fit, plans.val, plans.X_val
+    fit, val, X_fit, X_val = plans.fit, plans.val, plans.X_fit, plans.X_val
+    assert X_fit is not dataset.graph.features
     parts = [plans.train, plans.validation, plans.test,
-             fit.inputs, fit.outputs, fit.stored, val.outputs]
+             fit.inputs, fit.outputs, fit.stored, val.outputs,
+             X_fit.data, X_fit.indices, X_fit.indptr]
     if density < 1:
         assert val.first_hop is None and X_val is not dataset.graph.features
         parts += [val.inputs, X_val.data, X_val.indices, X_val.indptr]
@@ -1028,3 +1060,30 @@ def test_shared_plans_are_read_only(monkeypatch, density):
         assert part.size
         with pytest.raises(ValueError, match="read-only"):
             part[:1] = 0
+
+
+def test_training_passes_mask_the_sliced_block_in_place(monkeypatch):
+    # X is sliced once per plan; each training pass's dropout masks that
+    # block, so its layer-0 input shares the block's index arrays.
+    monkeypatch.setattr(motifs, "FULL_FRACTION", np.inf)
+    dataset, splits = loop_dataset(sparse=True)
+    config = ModelConfig(h1=2, h2=1, recipe=MIXED, max_epochs=4, patience=10)
+    plans = split_plans(config, dataset, splits)
+    X_fit = plans.X_fit
+    assert X_fit.nnz < dataset.graph.features.nnz
+    inputs = []
+    original = model_module.forward
+
+    def recording(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if kwargs.get("training"):
+            inputs.append(out[1][0][0])  # the tape's layer-0 Hin
+        return out
+
+    monkeypatch.setattr(model_module, "forward", recording)
+    _, report = train(config, dataset, splits, plans=plans)
+    assert len(inputs) == report.epochs_run == 4
+    for Hin in inputs:
+        assert sp.issparse(Hin) and Hin.nnz == X_fit.nnz
+        assert np.shares_memory(Hin.indices, X_fit.indices)
+        assert np.shares_memory(Hin.indptr, X_fit.indptr)

@@ -187,24 +187,31 @@ def sparse_rows_case(seed):
 def test_row_restricted_sparse_dropout_equals_full_on_those_rows(seed):
     X, rows = sparse_rows_case(seed)
     full, _ = dropout_forward(X, 0.4, np.random.default_rng(seed), training=True)
+    # keep_rows removes the other rows' values without drawing
+    Xr = keep_rows(X, rows)
+    assert np.array_equal(Xr.toarray(), np.where(
+        np.isin(np.arange(40), rows)[:, None], X.toarray(), 0.0))
+    assert keep_rows(X, None) is X
+    # dropout of the sliced block, keyed by its values' positions in X
     rng = np.random.default_rng(seed)
-    out, mask = dropout_forward(X, 0.4, rng, training=True, rows=rows)
+    out, mask = dropout_forward(Xr, 0.4, rng, training=True, at=stored_in(X.indptr, rows))
     assert mask is None and out.shape == X.shape
     dense_full, dense_out = full.toarray(), out.toarray()
     assert np.array_equal(dense_out[rows], dense_full[rows])
     assert not np.delete(dense_out, rows, axis=0).any()
-    # one 64-bit key per call, as without rows
+    # one 64-bit key per call, as on the whole X
     assert rng.random() == next_after_key(seed)
-    # the positions of the rows' values, found once by the caller
-    rng = np.random.default_rng(seed)
-    given, _ = dropout_forward(X, 0.4, rng, training=True, rows=rows,
-                               at=stored_in(X.indptr, rows))
-    assert np.array_equal(given.toarray(), dense_out)
-    assert rng.random() == next_after_key(seed)
-    # keep_rows removes the same rows' values without drawing
-    assert np.array_equal(keep_rows(X, rows).toarray(), np.where(
-        np.isin(np.arange(40), rows)[:, None], X.toarray(), 0.0))
-    assert keep_rows(X, None) is X
+    # the block is masked in place: its index arrays are shared, not copied
+    assert np.shares_memory(out.indices, Xr.indices)
+    assert np.shares_memory(out.indptr, Xr.indptr)
+
+
+def test_sparse_dropout_refuses_positions_of_another_block():
+    # The positions of a sliced block's values, given with the whole X.
+    X, rows = sparse_rows_case(0)
+    with pytest.raises(ValueError, match="positions"):
+        dropout_forward(X, 0.4, np.random.default_rng(0), training=True,
+                        at=stored_in(X.indptr, rows))
 
 
 def numbered(n_rows, n_cols):
@@ -213,8 +220,10 @@ def numbered(n_rows, n_cols):
 
 
 def kept_positions(out, rate):
-    """The positions of ``numbered``'s values that dropout kept."""
-    return np.rint(out.data * (1 - rate)).astype(np.int64) - 1
+    """The positions of ``numbered``'s values that dropout kept; a
+    dropped value is stored as 0."""
+    kept = out.data[out.data != 0]
+    return np.rint(kept * (1 - rate)).astype(np.int64) - 1
 
 
 def splitmix_kept(key, positions, rate):
@@ -237,10 +246,9 @@ def test_sparse_dropout_keeps_the_keyed_draws(rate):
     X = numbered(90, 50)
     rows = np.arange(3, 90, 4)
     key = np.random.default_rng(2).bit_generator.random_raw()
-    for rows_read in (None, rows):
-        out, _ = dropout_forward(X, rate, np.random.default_rng(2), training=True,
-                                 rows=rows_read)
-        at = range(X.nnz) if rows_read is None else stored_in(X.indptr, rows)
+    for H, at in ((X, None), (keep_rows(X, rows), stored_in(X.indptr, rows))):
+        out, _ = dropout_forward(H, rate, np.random.default_rng(2), training=True, at=at)
+        at = range(X.nnz) if at is None else at
         assert kept_positions(out, rate).tolist() == splitmix_kept(key, at, rate)
 
 
@@ -251,7 +259,8 @@ def test_keyed_draws_span_hash_chunks():
     key = np.random.default_rng(5).bit_generator.random_raw()
     full, _ = dropout_forward(X, 0.5, np.random.default_rng(5), training=True)
     rows = np.arange(1, 400, 2)
-    out, _ = dropout_forward(X, 0.5, np.random.default_rng(5), training=True, rows=rows)
+    out, _ = dropout_forward(keep_rows(X, rows), 0.5, np.random.default_rng(5), training=True,
+                             at=stored_in(X.indptr, rows))
     assert np.array_equal(out[rows].toarray(), full[rows].toarray())
     sample = range(0, X.nnz, 37)
     kept = set(kept_positions(full, 0.5).tolist())
@@ -262,7 +271,8 @@ def test_keyed_draws_span_hash_chunks():
 def test_keyed_keep_fraction(rate):
     X = numbered(1000, 1000)
     out, _ = dropout_forward(X, rate, np.random.default_rng(0), training=True)
-    assert abs(out.nnz / X.nnz - (1 - rate)) < 4 * np.sqrt(rate * (1 - rate) / X.nnz)
+    kept = np.count_nonzero(out.data)
+    assert abs(kept / X.nnz - (1 - rate)) < 4 * np.sqrt(rate * (1 - rate) / X.nnz)
 
 
 def test_keyed_masks_are_uncorrelated():
@@ -290,10 +300,10 @@ def test_keyed_draw_of_a_position_ignores_the_plan(seed):
     rng = np.random.default_rng(seed + 100)
     for size in (0, 1, 37, 250, 499, 500):
         rows = np.sort(rng.choice(500, size, replace=False))
-        out, _ = dropout_forward(X, 0.5, np.random.default_rng(seed), training=True,
-                                 rows=rows, at=stored_in(X.indptr, rows))
+        out, _ = dropout_forward(keep_rows(X, rows), 0.5, np.random.default_rng(seed),
+                                 training=True, at=stored_in(X.indptr, rows))
         assert np.array_equal(out[rows].toarray(), full[rows].toarray())
-        assert out.nnz == full[rows].nnz
+        assert np.count_nonzero(out.data) == np.count_nonzero(full[rows].data)
 
 
 def test_dense_dropout_draws_are_unchanged(rng):

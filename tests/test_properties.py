@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from motifgcn import motifs
 from motifgcn.graph import Graph, build_adjacency, check_symmetric
 from motifgcn.nn import keep_rows
-from motifgcn.model import ModelConfig, backward, build_model, fit_plan, forward, row_plan
+from motifgcn.model import ModelConfig, backward, build_model, fit_plan, forward
 from motifgcn.motifs import (
     MatrixSource,
     MixRecipe,
@@ -166,15 +166,15 @@ def test_restricted_passes_equal_full_path(g, sources, h1, h2, sparse, train, re
             return
     train = np.unique(np.array(train) % g.n_nodes)
     read = np.unique(np.array(read) % g.n_nodes)
-    with mock.patch.object(motifs, "FULL_FRACTION", fraction):
-        fit, grad_ops = fit_plan(m, train)
-        read_plan = row_plan(m, read)
-
     X, y = g.features, g.labels
+    with mock.patch.object(motifs, "FULL_FRACTION", fraction):
+        fit, grad_ops = fit_plan(m, train, X)
+        read_plan = fit_plan(m, read)[0]
+
     assert np.array_equal(forward(m, keep_rows(X, read_plan.inputs), plan=read_plan)[read],
                           forward(m, X)[read])
-    Z, tape = forward(m, X, training=True, rng=np.random.default_rng(0), with_tape=True,
-                      plan=fit)
+    Z, tape = forward(m, keep_rows(X, fit.inputs), training=True, rng=np.random.default_rng(0),
+                      with_tape=True, plan=fit)
     Z_full, tape_full = forward(m, X, training=True, rng=np.random.default_rng(0),
                                 with_tape=True)
     assert np.array_equal(Z[train], Z_full[train])
