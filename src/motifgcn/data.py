@@ -68,9 +68,12 @@ class Splits:
     test: np.ndarray
 
     def __post_init__(self):
-        tr = np.asarray(self.train, dtype=np.int64)
-        va = np.asarray(self.validation, dtype=np.int64)
-        te = np.asarray(self.test, dtype=np.int64)
+        for name in ("train", "validation", "test"):
+            idx = np.asarray(getattr(self, name))
+            if idx.size and idx.dtype.kind not in "iu":
+                raise DataError(f"{name} split holds non-integer indices ({idx.dtype})")
+            object.__setattr__(self, name, idx.astype(np.int64, copy=False))
+        tr, va, te = self.train, self.validation, self.test
         if tr.size == 0:
             raise DataError("train split is empty")
         all_idx = np.concatenate([tr, va, te])
@@ -78,9 +81,6 @@ class Splits:
             raise DataError("splits are not pairwise disjoint")
         if all_idx.min() < 0:
             raise DataError("negative split index")
-        object.__setattr__(self, "train", tr)
-        object.__setattr__(self, "validation", va)
-        object.__setattr__(self, "test", te)
 
 
 @dataclass(frozen=True)

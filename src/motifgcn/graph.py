@@ -59,13 +59,17 @@ def check_symmetric(m, tol: float = SYMMETRY_TOL) -> None:
         raise GraphError("matrix is not symmetric")
 
 
+def _check_endpoints(n: int, edges: np.ndarray) -> None:
+    if ((edges < 0) | (edges >= n)).any():
+        raise GraphError("edge endpoint out of range")
+
+
 def _canonical_adjacency(n: int, edges: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
     """(pairs, A) for an (m, 2) int64 edge list. A is the frozen binary
     adjacency of both orientations of every row, nonzero on the diagonal
     where a row is a self-loop; pairs is A's strict upper triangle read
     row by row: the distinct u < v pairs in lexicographic order."""
-    if ((edges < 0) | (edges >= n)).any():
-        raise GraphError("edge endpoint out of range")
+    _check_endpoints(n, edges)
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
@@ -75,17 +79,6 @@ def _canonical_adjacency(n: int, edges: np.ndarray) -> tuple[np.ndarray, sp.csr_
     upper = adj.indices > row_of
     pairs = np.stack([row_of[upper], adj.indices[upper].astype(np.int64)], axis=1)
     return pairs, adj
-
-
-def _without_loops(adj: sp.csr_matrix) -> sp.csr_matrix:
-    """A frozen adjacency with its diagonal entries removed, each row
-    otherwise stored as in ``adj``."""
-    row_of = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
-    off = adj.indices != row_of
-    kept_before = np.concatenate([[0], np.cumsum(off)])
-    indptr = kept_before[adj.indptr].astype(adj.indptr.dtype)
-    return freeze_csr(sp.csr_matrix((adj.data[off], adj.indices[off], indptr),
-                                    shape=adj.shape))
 
 
 def _freeze_features(features):
@@ -159,13 +152,17 @@ class Graph:
         Every row is range-checked; then self-loops are dropped and
         repeated pairs, in either orientation, collapsed. The counts of
         dropped lines are kept on the instance. The adjacency is built
-        once, here, and equals the one ``Graph`` builds from the pairs.
+        once, here, from the rows that are not self-loops, and equals the
+        one ``Graph`` builds from the pairs.
         """
         raw = np.asarray(raw_edges, dtype=np.int64).reshape(-1, 2)
-        pairs, adj = _canonical_adjacency(n_nodes, raw)
-        loops = int(np.count_nonzero(raw[:, 0] == raw[:, 1]))
+        loop = raw[:, 0] == raw[:, 1]
+        # The loops are range-checked here, the other rows by the build.
+        _check_endpoints(n_nodes, raw[loop])
+        pairs, adj = _canonical_adjacency(n_nodes, raw[~loop])
+        loops = int(loop.sum())
         graph = cls.__new__(cls)
-        object.__setattr__(graph, "_neighbors", _without_loops(adj) if loops else adj)
+        object.__setattr__(graph, "_neighbors", adj)
         graph.__init__(
             n_nodes,
             _freeze(pairs),

@@ -19,19 +19,21 @@ spreads by the same hops going down, so each GCN layer applies S
 with its other columns removed. ``split_plans`` walks down the GCN
 layers once per split (``MixedOperator.walk``), which finds each layer's
 rows and their neighbours once, and builds that split's ``Plan`` from
-the walk: for each GCN layer S with the entries outside those rows or
-columns removed (again a ``MixedOperator``), the rows of X the bottom
-layer reads, and the split's rows, which are all that the softmax
-computes and the loss and accuracy read.
+the walk: everything one pass reads. That is, for each GCN layer, S
+with the entries outside those rows or columns removed (again a
+``MixedOperator``), the input the pass reads, and the split's rows,
+which are all that the softmax computes and the loss and accuracy read.
+``forward`` runs one path for every plan: each layer is ``Hin @ W``,
+followed by the plan's operator at the GCN layers.
 
-Both ends of the network compute only those rows. ``split_plans``
-slices a sparse X once to each pass's input rows (``nn.keep_rows``),
-for training as for validation. Training dropout masks that fixed
-block, each draw keyed by the value's position in X, so a value is
-kept or dropped as on the full path, and stays stored as a zero when
-dropped: a zero term leaves a finite sum as it was. Dropout and the
-first product ``Hin @ W`` cost in proportion to those values. Every
-array keeps all N rows, with zeros where nothing is computed, and the
+Both ends of the network compute only those rows. A plan's input is a
+sparse X sliced once to the rows its bottom layer reads
+(``nn.keep_rows``). Training dropout masks that fixed block, each draw
+keyed by the value's position in X, so a value is kept or dropped as on
+the full path, and stays stored as a zero when dropped: a zero term
+leaves a finite sum as it was. Dropout and the first product
+``Hin @ W`` cost in proportion to those values. Every array above the
+input keeps all N rows, with zeros where nothing is computed, and the
 dense products ``Hin @ W`` run on all of them: BLAS may round a product
 on a row subset differently from the same rows of the full product. A
 CSR product sums each row alone, in stored order, so it rounds the same
@@ -40,13 +42,14 @@ no plan or operators, and training and the final ``evaluate`` equal it
 bit for bit.
 
 Evaluation applies no dropout, so the bottom GCN layer is linear in X.
-``split_plans`` forms the validation rows' first hop ``(S @ X)[R]``
-(``eval_plan``) when multiplying it by W0 reads no more X values than
-the bottom layer reads without it; otherwise it slices a sparse X to
-the validation input rows. Validation losses then equal the full path
-to within about 1 ulp, not bit for bit; whether or not the restrictions
-fall back to S, it forms the same first hop, so reports stay
-bit-identical. The final ``evaluate`` runs once, so it reads X whole.
+The validation plan's input is the first hop ``(S @ X)[R]`` of the rows
+R that layer computes (``eval_plan``) when multiplying it by W0 reads
+no more X values than the bottom layer reads without it; its bottom
+operator then places row i of the product at row R[i]. Validation losses
+then equal the full path to within about 1 ulp, not bit for bit;
+whether or not the restrictions fall back to S, it forms the same first
+hop, so reports stay bit-identical. The final ``evaluate`` runs once,
+so it reads X whole.
 
 The plans depend on the mixed operator, h1, X and the splits, not on
 the seed. A lone ``train`` call builds them itself; each
@@ -66,7 +69,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import UNLABELED, Graph
+from .graph import UNLABELED, Graph, freeze_csr
 from .motifs import MixedOperator, MixRecipe, mix_matrices
 from . import nn
 
@@ -91,7 +94,9 @@ __all__ = [
 
 def _read_only(*arrays) -> None:
     for a in arrays:
-        if a is not None:
+        if sp.issparse(a):
+            _read_only(a.data, a.indices, a.indptr)
+        elif a is not None:
             a.flags.writeable = False
 
 
@@ -145,37 +150,40 @@ class Model:
 
 @dataclass(frozen=True, eq=False)  # identity equality, as Model
 class Plan:
-    """The rows one forward pass computes; None means all rows, which is
-    the full path. Its arrays are read-only, so threads may share it.
+    """What one forward pass reads; None means all of it, which is the
+    full path. Its arrays are read-only, so threads may share it.
 
     Attributes:
         operators: for each GCN layer, the operator it applies in place
             of the mixed operator: S with the rows it does not compute
-            removed.
+            removed. A first-hop plan's bottom operator is instead the
+            row placement E_R (``eval_plan``).
         inputs: the rows of X that the bottom GCN layer reads; None for
-            a dense X too, which every dense product reads whole.
+            a dense X too, which every dense product reads whole, and
+            for a first-hop plan, which reads no row of X.
         outputs: the rows of the network output that are read.
         stored: the positions in a CSR X of its values in ``inputs``
             (``nn.stored_in``), in the order X sliced to ``inputs``
             stores them: the keys of training dropout. Found once per
             ``fit_plan``.
-        first_rows: the rows R the bottom GCN layer computes, when
-            ``first_hop`` is set.
-        first_hop: ``(S @ X)[first_rows]`` as a dense array, formed once
-            by ``eval_plan``. An evaluation pass computes the bottom
-            layer as ``first_hop @ W0`` on R, in place of ``Hin @ W0``
-            and the apply; ``inputs`` is then None, as no X is read.
+        X: the input the pass reads: X with the rows outside ``inputs``
+            removed (``nn.keep_rows``), X itself, or the first hop of
+            ``eval_plan``. None for a plan that is given X whole, as
+            ``evaluate``'s is.
+        grad_operators: ``backward``'s operators for a ``fit_plan``:
+            for each GCN layer, S with the columns that ``operators``
+            does not compute removed.
     """
 
     operators: list | None = None
     inputs: np.ndarray | None = None
     outputs: np.ndarray | None = None
     stored: np.ndarray | None = None
-    first_rows: np.ndarray | None = None
-    first_hop: np.ndarray | None = None
+    X: np.ndarray | sp.csr_matrix | None = None
+    grad_operators: list | None = None
 
     def __post_init__(self):
-        _read_only(self.inputs, self.outputs, self.stored, self.first_rows, self.first_hop)
+        _read_only(self.inputs, self.outputs, self.stored, self.X)
 
 
 @dataclass(frozen=True, eq=False)  # identity equality, as Plan
@@ -188,11 +196,8 @@ class SplitPlans:
     Attributes:
         mixed, h1, features, splits: what the plans were built for.
         train, validation, test: the checked split indices.
-        fit, grad_ops: ``fit_plan`` of the train rows.
+        fit: ``fit_plan`` of the train rows.
         val: ``eval_plan`` of the validation rows.
-        X_fit, X_val: X with the rows ``fit`` or ``val`` does not read
-            removed (``nn.keep_rows``), or X itself for a dense X or a
-            plan that reads every row.
     """
 
     mixed: MixedOperator
@@ -203,16 +208,10 @@ class SplitPlans:
     validation: np.ndarray
     test: np.ndarray
     fit: Plan
-    grad_ops: list
     val: Plan
-    X_fit: np.ndarray | sp.csr_matrix
-    X_val: np.ndarray | sp.csr_matrix
 
     def __post_init__(self):
-        arrays = [self.train, self.validation, self.test]
-        for X in (self.X_fit, self.X_val):
-            arrays += (X.data, X.indices, X.indptr) if sp.issparse(X) else (X,)
-        _read_only(*arrays)
+        _read_only(self.train, self.validation, self.test)
 
 
 @dataclass
@@ -251,30 +250,30 @@ def forward(model: Model, X, training: bool = False, rng=None,
     layer's input and is active only in training mode. The tape holds
     each layer's (dropped-out input, dropout mask, output).
 
-    ``plan`` (from ``eval_plan`` or ``fit_plan``) names the rows that
-    are read, and Z is right on its outputs only. They depend on X's
-    input rows alone, so a sparse X may come sliced to them
-    (``nn.keep_rows``), and a training pass on a ``fit_plan`` of a CSR
-    X must get it so (``SplitPlans.X_fit``): its dropout keys each value
-    by its position in the whole X, the plan's ``stored``. Each GCN
-    layer applies the plan's operator, and the softmax runs on the
-    outputs, leaving 0 on the other rows. Every array keeps all N rows,
-    so dropout draws and the dense products ``Hin @ W`` are the same as
-    on the full path. The default plan runs the full path, the reference
-    the restricted one equals bit for bit on the rows it computes. An
-    evaluation pass given a plan's first hop computes the bottom layer
-    from it instead of X, and equals the full path to rounding.
+    ``plan`` (from ``eval_plan`` or ``fit_plan``) names what is read,
+    and Z is right on its outputs only. X is then the plan's ``X``; a
+    training pass on a ``fit_plan`` of a CSR X keys each value's dropout
+    by its position in the whole X, the plan's ``stored``. Each layer is
+    ``Hin @ W``, and each GCN layer then applies the plan's operator;
+    the softmax runs on the outputs, leaving 0 on the other rows. Every
+    array above the input keeps all N rows, so dropout draws and the
+    dense products ``Hin @ W`` are the same as on the full path. The
+    default plan runs the full path, the reference the restricted one
+    equals bit for bit on the rows it computes; a first-hop plan equals
+    it to rounding. Raises ValueError when X's rows do not match the
+    bottom operator's columns, as for a whole X given to a first-hop
+    plan.
     """
-    if X.shape[0] != model.mixed_matrix.shape[0]:
-        raise ValueError("feature rows must match mixed-matrix dimension")
+    h1, last = model.config.h1, len(model.weights) - 1
+    operators = [model.mixed_matrix] * h1 if plan.operators is None else plan.operators
+    if X.shape[0] != operators[0].shape[1]:
+        raise ValueError("feature rows must match the bottom operator's columns")
     rate = model.config.dropout
     if sp.issparse(X):
         H = sp.csr_matrix(X, dtype=np.float64)
     else:
         H = np.asarray(X, dtype=np.float64)
-    h1, last = model.config.h1, len(model.weights) - 1
     tape = []
-    operators = [model.mixed_matrix] * h1 if plan.operators is None else plan.operators
     out = slice(None) if plan.outputs is None else plan.outputs
     for k, W in enumerate(model.weights):
         Hin, mask = nn.dropout_forward(H, rate, rng, training, plan.stored if k == 0 else None)
@@ -282,13 +281,9 @@ def forward(model: Model, X, training: bool = False, rng=None,
         # is nan, in the product or the softmax; train reports
         # TrainingDiverged.
         with np.errstate(over="ignore", invalid="ignore"):
-            if k == 0 and plan.first_hop is not None and not training:
-                pre = np.zeros((H.shape[0], W.shape[1]))
-                pre[plan.first_rows] = plan.first_hop @ W
-            else:
-                pre = Hin @ W
-                if k < h1:
-                    pre = nn.spmm(operators[k], pre)
+            pre = Hin @ W
+            if k < h1:
+                pre = nn.spmm(operators[k], pre)
             if k == last:
                 H = np.zeros_like(pre)
                 H[out] = nn.softmax_rows(pre[out])
@@ -311,10 +306,11 @@ def backward(model: Model, tape, labels: np.ndarray, train_idx: np.ndarray,
     ``d_pre`` is nonzero only on the train rows at the last GCN layer,
     and on the rows S reaches from those one GCN layer down: the rows
     ``forward`` computes for the train rows. ``operators`` holds, for
-    each GCN layer, S restricted to those columns (``fit_plan``); None
-    applies the full operator at every layer. The bottom layer's
-    ``S @ d_pre`` is then zero outside the plan's input rows, so its
-    weight gradient ``Hin.T @ d_hw`` needs no row of Hin beyond them.
+    each GCN layer, S restricted to those columns (a ``fit_plan``'s
+    ``grad_operators``); None applies the full operator at every layer.
+    The bottom layer's ``S @ d_pre`` is then zero outside the plan's
+    input rows, so its weight gradient ``Hin.T @ d_hw`` needs no row of
+    Hin beyond them.
     """
     if len(tape) != len(model.weights):
         raise ValueError("tape length does not match layer count")
@@ -361,12 +357,12 @@ def regularized_loss(model: Model, Z: np.ndarray, labels, mask_idx) -> float:
 def evaluate(model: Model, X, labels: np.ndarray, mask) -> float:
     """Fraction of masked nodes whose argmax prediction matches the label.
 
-    Only the masked rows are computed, on the plan of ``fit_plan``'s
-    walk. X is read whole: the pass runs once, so slicing a sparse X to
-    the rows it reaches (``nn.keep_rows``) would cost more than the
-    product saves, and a CSR product rounds alike on any rows. Raises
-    ValueError for a mask that ``train`` would refuse as a split, and
-    for a boolean mask that is not N long."""
+    Only the masked rows are computed, on the plan of their walk, given
+    X whole: the pass runs once, so slicing a sparse X to the rows it
+    reaches (``nn.keep_rows``) would cost more than the product saves,
+    and a CSR product rounds alike on any rows. Raises ValueError for a
+    mask that ``train`` would refuse as a split, and for a boolean mask
+    that is not N long."""
     idx = _checked_index("evaluate: mask", mask, labels, model.mixed_matrix.shape[0])
     Z = forward(model, X, training=False, plan=_walk(model, idx, inputs=False)[0])
     return _accuracy(Z, labels, idx)
@@ -375,15 +371,17 @@ def evaluate(model: Model, X, labels: np.ndarray, mask) -> float:
 def eval_plan(model: Model, rows, X) -> Plan:
     """``forward``'s plan for evaluation passes that read the output on
     ``rows`` again and again, as ``train``'s validation pass does each
-    epoch. The plan carries X's first hop ``(S @ X)[R]``, formed once,
-    when that reads less; else the rows of a CSR X the bottom layer reads.
+    epoch. Its input is X's first hop ``(S @ X)[R]``, formed once, when
+    that reads less; else X sliced to the rows the bottom layer reads.
     ``split_plans`` builds it once per ``train`` call, or once for all
     seeds of a ``run_protocol`` call or ``grid_search`` recipe.
 
     Evaluation applies no dropout, so the bottom GCN layer is linear in
     X: ``S_R (X W0) = (S_R X) W0``, the precomputed propagation of SGC
     (Wu et al. 2019). With the first hop, a pass computes that layer as
-    one |R|×F product with W0, in place of ``Hin @ W0`` and the apply.
+    one |R|×F product with W0, and the bottom operator is the row
+    placement E_R, the frozen N×|R| CSR matrix with a single 1.0 at
+    (R[i], i): each row of the product is added to 0.0 once, at row R[i].
     The rule: form it when |R|·F is at most the number of X values the
     layer reads without it, which is N·F for a dense X (so always) and,
     for a CSR X, the values stored in the rows S[R] reads. Per pass the
@@ -406,24 +404,26 @@ def eval_plan(model: Model, rows, X) -> Plan:
     if sp.issparse(X):
         reads = S.reads(R, near) if plan.inputs is None else plan.inputs
         if R.size * X.shape[1] > np.diff(X.indptr)[reads].sum():
-            return plan
+            return replace(plan, X=nn.keep_rows(X, plan.inputs))
         first = (S.to_scipy(R) @ X).toarray()
     else:
         first = nn.spmm(plan.operators[0], X)[R]
-    return replace(plan, inputs=None, first_rows=R, first_hop=first)
+    place = freeze_csr(sp.csr_matrix((np.ones(R.size), (R, np.arange(R.size))),
+                                     shape=(S.shape[0], R.size)))
+    return replace(plan, operators=[place, *plan.operators[1:]], inputs=None, X=first)
 
 
-def fit_plan(model: Model, train_idx, X=None) -> tuple[Plan, list]:
-    """``forward``'s plan and ``backward``'s operators for a loss read on
-    ``train_idx``: one walk serves both passes. The rows of X that the
-    bottom layer reads are found for a CSR X, or when no X is given; a
-    dense X is read whole by every product. For a CSR X the plan also
-    holds the positions of its stored values in those rows, the only
-    ones training dropout draws for."""
-    plan, steps = _walk(model, train_idx, X is None or sp.issparse(X))
-    if plan.inputs is not None and sp.issparse(X):
-        plan = replace(plan, stored=nn.stored_in(X.indptr, plan.inputs))
-    return plan, [model.mixed_matrix.columns(*step) for step in steps]
+def fit_plan(model: Model, train_idx, X) -> Plan:
+    """``forward``'s plan for a loss read on ``train_idx``, with
+    ``backward``'s operators: one walk serves both passes. Its input is X
+    sliced to the rows the bottom layer reads, found for a CSR X; a dense
+    X is read whole by every product. For a CSR X the plan also holds
+    the positions of its stored values in those rows, the only ones
+    training dropout draws for."""
+    plan, steps = _walk(model, train_idx, sp.issparse(X))
+    stored = None if plan.inputs is None else nn.stored_in(X.indptr, plan.inputs)
+    return replace(plan, stored=stored, X=nn.keep_rows(X, plan.inputs),
+                   grad_operators=[model.mixed_matrix.columns(*step) for step in steps])
 
 
 def _walk(model: Model, rows, inputs: bool) -> tuple[Plan, list]:
@@ -436,11 +436,11 @@ def _walk(model: Model, rows, inputs: bool) -> tuple[Plan, list]:
 def split_plans(config: ModelConfig, dataset, splits,
                 mixed: MixedOperator | None = None) -> SplitPlans:
     """The checked splits and the plans ``train`` reads them with:
-    ``fit_plan`` of the train rows, ``eval_plan`` of the validation rows
-    and X sliced to the rows each plan reads. ``mixed`` is as in
-    ``train``; it is built here when None, after the splits are checked,
-    so a bad split raises ValueError (as ``train`` documents) before any
-    mixing. Only ``config.recipe`` and ``config.h1`` are read."""
+    ``fit_plan`` of the train rows and ``eval_plan`` of the validation
+    rows. ``mixed`` is as in ``train``; it is built here when None, after
+    the splits are checked, so a bad split raises ValueError (as
+    ``train`` documents) before any mixing. Only ``config.recipe`` and
+    ``config.h1`` are read."""
     graph = dataset.graph
     _check_graph(graph)
     train_idx, val_idx, test_idx = (
@@ -451,14 +451,11 @@ def split_plans(config: ModelConfig, dataset, splits,
     # The walks read the operator and h1 alone, so a model without
     # weights serves them.
     walker = Model(mixed, [], config)
-    X = graph.features
     # Each pass computes only the rows it reads: training reads the train
     # rows, evaluation the validation rows.
-    fit, grad_ops = fit_plan(walker, train_idx, X)
-    val = eval_plan(walker, val_idx, X)
-    return SplitPlans(mixed, config.h1, X, splits, train_idx, val_idx, test_idx,
-                      fit, grad_ops, val, nn.keep_rows(X, fit.inputs),
-                      nn.keep_rows(X, val.inputs))
+    return SplitPlans(mixed, config.h1, graph.features, splits, train_idx, val_idx, test_idx,
+                      fit_plan(walker, train_idx, graph.features),
+                      eval_plan(walker, val_idx, graph.features))
 
 
 def _check_graph(graph: Graph) -> None:
@@ -515,8 +512,9 @@ def train(config: ModelConfig, dataset, splits,
     splits raise ValueError.
 
     Each epoch validates after its Adam step, on the calling thread, and
-    then updates the best epoch and the patience count. The validation
-    pass reads the plans' first hop when ``eval_plan`` formed one.
+    then updates the best epoch and the patience count. Each pass reads
+    its plan's ``X``, the first hop for validation when ``eval_plan``
+    formed one.
     """
     graph = dataset.graph
     if plans is None:
@@ -526,9 +524,8 @@ def train(config: ModelConfig, dataset, splits,
         raise ValueError("plans were built for another mixed operator, h1, "
                          "features or splits")
     model = build_model(config, graph, mixed=plans.mixed)
-    X = graph.features
     train_idx, val_idx, test_idx = plans.train, plans.validation, plans.test
-    fit, grad_ops, val = plans.fit, plans.grad_ops, plans.val
+    fit, val = plans.fit, plans.val
     rng = np.random.default_rng((config.seed, 0xD0))  # dropout stream
     y = graph.labels
 
@@ -545,16 +542,15 @@ def train(config: ModelConfig, dataset, splits,
         # returns, so the pass reuses its pages. Released before the
         # validation pass, they went back to the system, and a powerlaw
         # train took 1.5 s instead of 1.2 s, with up to 4x the page faults.
-        Z, tape = forward(model, plans.X_fit, training=True, rng=rng, with_tape=True,
-                          plan=fit)
+        Z, tape = forward(model, fit.X, training=True, rng=rng, with_tape=True, plan=fit)
         loss = regularized_loss(model, Z, y, train_idx)
         if not np.isfinite(loss):
             raise TrainingDiverged(epoch)
-        grads = backward(model, tape, y, train_idx, operators=grad_ops)
+        grads = backward(model, tape, y, train_idx, operators=fit.grad_operators)
         for k, g in enumerate(grads):
             W[k], m[k], v[k] = nn.adam_step(W[k], m[k], v[k], g, config.learning_rate, epoch)
 
-        Z_val = forward(model, plans.X_val, training=False, plan=val)
+        Z_val = forward(model, val.X, training=False, plan=val)
         val_loss = nn.cross_entropy_loss(Z_val, y, val_idx)
         train_losses.append(loss)
         val_losses.append(val_loss)
@@ -568,7 +564,7 @@ def train(config: ModelConfig, dataset, splits,
             break
 
     model.weights = best_weights
-    test_acc = evaluate(model, X, y, test_idx)
+    test_acc = evaluate(model, graph.features, y, test_idx)
     report = TrainReport(
         train_losses=train_losses,
         val_losses=val_losses,

@@ -9,7 +9,6 @@ from .graph import Graph, build_adjacency
 from .motifs import MixRecipe, motif_matrix_oracle, triangle_motif_matrix, wedge_motif_matrix
 from .model import (ModelConfig, Plan, backward, build_model, fit_plan, forward,
                     regularized_loss)
-from .nn import keep_rows
 
 __all__ = [
     "random_graph",
@@ -77,8 +76,8 @@ def gradient_check(h1: int, h2: int, graph: Graph | None = None) -> float:
         Z, tape = forward(model, H, training=True, rng=rng, with_tape=True, plan=plan)
         return regularized_loss(model, Z, y, train_idx), tape
 
-    fit, grad_ops = fit_plan(model, train_idx, X)
-    grads = backward(model, loss(fit, keep_rows(X, fit.inputs))[1], y, train_idx, grad_ops)
+    fit = fit_plan(model, train_idx, X)
+    grads = backward(model, loss(fit, fit.X)[1], y, train_idx, fit.grad_operators)
 
     worst = 0.0
     for W, g in zip(model.weights, grads):

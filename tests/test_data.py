@@ -297,6 +297,22 @@ def test_splits_validation():
         Splits(np.array([0, 1]), np.array([1]), np.array([2]))
 
 
+@pytest.mark.parametrize("split", ["train", "validation", "test"])
+@pytest.mark.parametrize("bad, dtype", [([10.9, 11.9], "float64"),
+                                        ([False] * 10 + [True], "bool")],
+                         ids=["float", "bool"])
+def test_splits_refuse_non_integer_indices(split, bad, dtype):
+    # A cast would truncate 10.9 to node 10, and read a boolean mask as
+    # the nodes 0 and 1.
+    parts = {"train": [0, 1, 2], "validation": [5, 6], "test": [7, 8]}
+    parts[split] = np.array(bad)
+    with pytest.raises(DataError, match=f"^{split} split holds non-integer indices "
+                                        f"\\({dtype}\\)$"):
+        Splits(**parts)
+    # An empty list reads as float64 but names no node.
+    assert Splits([0, 1], [], []).validation.dtype == np.int64
+
+
 def test_dataset_requires_two_classes():
     from motifgcn.graph import Graph
 

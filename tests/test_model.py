@@ -569,14 +569,18 @@ def test_walk_reads_no_extra_rows(monkeypatch, recipe, seed):
         else:
             assert np.array_equal(inputs, expected_inputs)
         # A restriction is S with the rows (or columns) outside R zeroed.
-        fit, grad_ops = fit_plan(m, rows)
-        for ops, axis in ((fit.operators, 0), (grad_ops, 1),
-                          (eval_plan(m, rows, g.features).operators, 0)):
-            for op, R in zip(ops, expected, strict=True):
+        fit = fit_plan(m, rows, g.features)
+        place, *val_ops = eval_plan(m, rows, g.features).operators  # a first-hop plan
+        for ops, axis, sets in ((fit.operators, 0, expected),
+                                (fit.grad_operators, 1, expected),
+                                (val_ops, 0, expected[1:])):
+            for op, R in zip(ops, sets, strict=True):
                 kept = np.zeros(30, dtype=bool)
                 kept[R] = True
                 want = dense * (kept[:, None] if axis == 0 else kept[None, :])
                 assert np.array_equal(op.to_scipy().toarray(), want)
+        # Its bottom operator E_R places row i of the first hop at row R[i].
+        assert np.array_equal(place.toarray(), np.eye(30)[:, expected[0]])
 
 
 def test_every_operator_is_read_only():
@@ -585,10 +589,14 @@ def test_every_operator_is_read_only():
     g = random_graph(np.random.default_rng(2), 300, 0.01, feature_dim=8, n_classes=3)
     m = build_model(ModelConfig(recipe=MIXED), g)
     rows = np.arange(0, 300, 50)
-    fit, grad_ops = fit_plan(m, rows)
-    ops = [m.mixed_matrix, *fit.operators, *grad_ops,
-           *eval_plan(m, rows, g.features).operators]
-    assert sum(op is not m.mixed_matrix for op in ops) == 6
+    fit = fit_plan(m, rows, g.features)
+    place, *val_ops = eval_plan(m, rows, g.features).operators  # a first-hop plan
+    ops = [m.mixed_matrix, *fit.operators, *fit.grad_operators, *val_ops]
+    assert sum(op is not m.mixed_matrix for op in ops) == 5
+    assert sp.isspmatrix_csr(place) and place.shape[0] == 300
+    for part in (place.data, place.indices, place.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            part[:1] = 0
     for op in ops:
         for part in (op.s, *(a for M in (op.P, op.A_out, op.A_in)
                              for a in (M.data, M.indices, M.indptr))):
@@ -692,7 +700,7 @@ def test_train_equals_full_path_with_sparse_features(tmp_path, monkeypatch):
     m = build_model(config, ds.graph)
     with monkeypatch.context() as patch:
         patch.setattr(motifs, "FULL_FRACTION", np.inf)
-        plans = [fit_plan(m, rows)[0]
+        plans = [fit_plan(m, rows, ds.graph.features)
                  for rows in (splits.train, splits.validation, splits.test)]
     assert all(p.inputs.size < ds.graph.n_nodes for p in plans)
     (report, weights, protocol), (report_full, weights_full, protocol_full) = (
@@ -740,8 +748,9 @@ def test_gradient_check_through_restricted_operators(monkeypatch):
                   n_classes=3)
         for h1, h2 in ((2, 1), (1, 0)):
             m = build_model(ModelConfig(h1=h1, h2=h2, recipe=MIXED), g)
-            fit, grad_ops = fit_plan(m, np.arange(0, 16, 2))
-            assert all(op is not m.mixed_matrix for op in fit.operators + grad_ops)
+            # The walk finds the input rows of a CSR X.
+            fit = fit_plan(m, np.arange(0, 16, 2), sp.csr_matrix(X))
+            assert all(op is not m.mixed_matrix for op in fit.operators + fit.grad_operators)
             assert not np.isin([9, 11], fit.inputs).any()
             assert gradient_check(h1, h2, graph=g) < 1e-6
 
@@ -784,7 +793,8 @@ LOOP_CASES = {
 @pytest.mark.parametrize("case", LOOP_CASES)
 @pytest.mark.parametrize("h1, h2", [(1, 0), (2, 1)])
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
-def test_overlapped_validation_equals_sequential(monkeypatch, passes, case, h1, h2, sparse):
+def test_each_epoch_trains_then_validates_on_the_calling_thread(monkeypatch, passes, case,
+                                                                h1, h2, sparse):
     # Every epoch runs its training pass and then its validation pass,
     # both on the calling thread, and the final test pass follows.
     monkeypatch.setattr(motifs, "FULL_FRACTION", np.inf)  # S only where R is every row
@@ -850,10 +860,11 @@ def test_plans_find_input_rows_only_for_sparse_features(monkeypatch, h1):
                         lambda S, *args: hops.append(1) or walk_step(S, *args))
     for features, input_hop in ((X.toarray(), 0), (X, 1)):
         hops.clear()
-        fit, _ = fit_plan(m, splits.train, features)
+        fit = fit_plan(m, splits.train, features)
         assert len(hops) == h1 - 1 + input_hop
         if input_hop:
-            assert np.array_equal(fit.inputs, fit_plan(m, splits.train)[0].inputs)
+            assert np.array_equal(fit.inputs,
+                                  m.mixed_matrix.walk(np.unique(splits.train), h1)[1])
             assert np.array_equal(fit.stored, nn.stored_in(X.indptr, fit.inputs))
             assert eval_plan(m, splits.validation, features).stored is None
         else:
@@ -895,19 +906,19 @@ def test_first_hop_pass_equals_full_path(monkeypatch, h1, h2, sparse):
         plans.append(eval_plan(m, val, X))
     plan, full_plan = plans
     R = m.mixed_matrix.walk(np.unique(val), h1)[0][0][0]
-    assert np.array_equal(plan.first_rows, R) and plan.inputs is None
-    assert plan.first_hop.shape == (R.size, X.shape[1])
+    assert R.size < X.shape[0] and plan.inputs is None
+    assert plan.X.shape == (R.size, X.shape[1])
+    # Its bottom operator E_R places row i of the first hop at row R[i].
+    assert np.array_equal(plan.operators[0].toarray(), np.eye(X.shape[0])[:, R])
     # The first hop does not depend on whether a restriction fell back to S.
-    assert np.array_equal(plan.first_hop, full_plan.first_hop)
-    Z, Z_full = forward(m, X, plan=plan), forward(m, X)
+    assert np.array_equal(plan.X, full_plan.X)
+    Z, Z_full = forward(m, plan.X, plan=plan), forward(m, X)
     np.testing.assert_allclose(Z[val], Z_full[val], rtol=1e-12, atol=0)
     assert nn.cross_entropy_loss(Z, y, val) == pytest.approx(
         nn.cross_entropy_loss(Z_full, y, val), rel=1e-12, abs=0)
-    # A training pass reads X: dropout makes it nonlinear in X.
-    no_hop = dataclasses.replace(plan, first_rows=None, first_hop=None)
-    assert np.array_equal(
-        forward(m, X, training=True, rng=np.random.default_rng(1), plan=plan),
-        forward(m, X, training=True, rng=np.random.default_rng(1), plan=no_hop))
+    # A whole X given to a first-hop plan does not match E_R's columns.
+    with pytest.raises(ValueError, match="bottom operator"):
+        forward(m, X, plan=plan)
 
 
 def test_sparse_features_read_on_few_rows_form_no_first_hop(monkeypatch):
@@ -920,15 +931,15 @@ def test_sparse_features_read_on_few_rows_form_no_first_hop(monkeypatch):
     config = ModelConfig(h1=1, h2=0, recipe=MIXED, max_epochs=3)
     m = build_model(config, dataset.graph)
     plan = eval_plan(m, val, X)
-    assert plan.first_hop is None and plan.first_rows is None
-    assert np.array_equal(plan.inputs, fit_plan(m, val, X)[0].inputs)
+    assert isinstance(plan.operators[0], motifs.MixedOperator) and plan.X.shape == X.shape
+    assert np.array_equal(plan.inputs, fit_plan(m, val, X).inputs)
     assert plan.outputs.size * X.shape[1] > np.diff(X.indptr)[plan.inputs].sum()
+    fit = fit_plan(m, splits.train, X)
+    assert fit.inputs.size < X.shape[0]
     sliced = []
     keep_rows = nn.keep_rows
     monkeypatch.setattr(nn, "keep_rows", lambda H, rows: sliced.append(rows) or keep_rows(H, rows))
     train(config, dataset, splits)
-    fit = fit_plan(m, splits.train, X)[0]
-    assert fit.inputs.size < X.shape[0]
     assert len(sliced) == 2
     assert np.array_equal(sliced[0], fit.inputs) and np.array_equal(sliced[1], plan.inputs)
 
@@ -939,8 +950,8 @@ def test_evaluate_reads_sparse_features_whole(monkeypatch):
     dataset, splits = loop_dataset(sparse=True)
     X, y, test = dataset.graph.features, dataset.graph.labels, splits.test
     m = build_model(ModelConfig(h1=2, h2=1, recipe=MIXED, seed=2), dataset.graph)
-    plan = fit_plan(m, test, X)[0]
-    sliced = forward(m, nn.keep_rows(X, plan.inputs), plan=plan)
+    plan = fit_plan(m, test, X)
+    sliced = forward(m, plan.X, plan=plan)
     assert np.array_equal(forward(m, X, plan=plan)[test], sliced[test])
     monkeypatch.setattr(nn, "keep_rows", None)
     assert evaluate(m, X, y, test) == np.mean(sliced[test].argmax(axis=1) == y[test])
@@ -1041,21 +1052,23 @@ def test_train_refuses_plans_built_for_other_inputs(small_dataset, small_splits,
 @pytest.mark.parametrize("density", [0.3, 1.0], ids=["sliced", "first-hop"])
 def test_shared_plans_are_read_only(monkeypatch, density):
     # Every seed's thread reads the same plans. At density 0.3 the
-    # validation pass reads a slice of X; at 1.0 it reads the first hop.
+    # validation pass reads a slice of X; at 1.0 it reads the first hop,
+    # placed by its bottom operator E_R.
     monkeypatch.setattr(motifs, "FULL_FRACTION", np.inf)
     dataset, splits = loop_dataset(sparse=True, density=density)
     plans = split_plans(ModelConfig(h1=2, h2=1, recipe=MIXED), dataset, splits)
-    fit, val, X_fit, X_val = plans.fit, plans.val, plans.X_fit, plans.X_val
-    assert X_fit is not dataset.graph.features
+    fit, val = plans.fit, plans.val
+    assert fit.X is not dataset.graph.features
     parts = [plans.train, plans.validation, plans.test,
              fit.inputs, fit.outputs, fit.stored, val.outputs,
-             X_fit.data, X_fit.indices, X_fit.indptr]
+             fit.X.data, fit.X.indices, fit.X.indptr]
     if density < 1:
-        assert val.first_hop is None and X_val is not dataset.graph.features
-        parts += [val.inputs, X_val.data, X_val.indices, X_val.indptr]
+        assert sp.issparse(val.X) and val.X is not dataset.graph.features
+        parts += [val.inputs, val.X.data, val.X.indices, val.X.indptr]
     else:
-        assert val.inputs is None and X_val is dataset.graph.features
-        parts += [val.first_rows, val.first_hop]
+        place = val.operators[0]
+        assert val.inputs is None and not sp.issparse(val.X)
+        parts += [val.X, place.data, place.indices, place.indptr]
     for part in parts:
         assert part.size
         with pytest.raises(ValueError, match="read-only"):
@@ -1069,7 +1082,7 @@ def test_training_passes_mask_the_sliced_block_in_place(monkeypatch):
     dataset, splits = loop_dataset(sparse=True)
     config = ModelConfig(h1=2, h2=1, recipe=MIXED, max_epochs=4, patience=10)
     plans = split_plans(config, dataset, splits)
-    X_fit = plans.X_fit
+    X_fit = plans.fit.X
     assert X_fit.nnz < dataset.graph.features.nnz
     inputs = []
     original = model_module.forward

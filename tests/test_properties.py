@@ -16,7 +16,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from motifgcn import motifs
 from motifgcn.graph import Graph, build_adjacency, check_symmetric
-from motifgcn.nn import keep_rows
 from motifgcn.model import ModelConfig, backward, build_model, fit_plan, forward
 from motifgcn.motifs import (
     MatrixSource,
@@ -168,20 +167,20 @@ def test_restricted_passes_equal_full_path(g, sources, h1, h2, sparse, train, re
     read = np.unique(np.array(read) % g.n_nodes)
     X, y = g.features, g.labels
     with mock.patch.object(motifs, "FULL_FRACTION", fraction):
-        fit, grad_ops = fit_plan(m, train, X)
-        read_plan = fit_plan(m, read)[0]
+        fit = fit_plan(m, train, X)
+        read_plan = fit_plan(m, read, X)
 
-    assert np.array_equal(forward(m, keep_rows(X, read_plan.inputs), plan=read_plan)[read],
+    assert np.array_equal(forward(m, read_plan.X, plan=read_plan)[read],
                           forward(m, X)[read])
-    Z, tape = forward(m, keep_rows(X, fit.inputs), training=True, rng=np.random.default_rng(0),
+    Z, tape = forward(m, fit.X, training=True, rng=np.random.default_rng(0),
                       with_tape=True, plan=fit)
     Z_full, tape_full = forward(m, X, training=True, rng=np.random.default_rng(0),
                                 with_tape=True)
     assert np.array_equal(Z[train], Z_full[train])
-    for grad, grad_full in zip(backward(m, tape, y, train, operators=grad_ops),
+    for grad, grad_full in zip(backward(m, tape, y, train, operators=fit.grad_operators),
                                backward(m, tape_full, y, train)):
         assert np.array_equal(grad, grad_full)
-    for op in fit.operators + grad_ops + read_plan.operators:
+    for op in fit.operators + fit.grad_operators + read_plan.operators:
         assert op.shape == m.mixed_matrix.shape and op.nnz <= m.mixed_matrix.nnz
 
 
